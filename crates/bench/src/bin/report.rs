@@ -6,14 +6,6 @@
 //! ```sh
 //! cargo run -p gemstone-bench --bin report --release
 //! ```
-//!
-//! Every run also writes `BENCH_PR5.json` — the committed perf trajectory:
-//! one flat JSON record per line for each *deterministic* counted result
-//! (join plan shapes and operator counters, flattening byte counts, and the
-//! full metrics scrape of the join session). CI regenerates the file and
-//! diffs it against the committed copy with `perf_gate`. Pass
-//! `--trajectory-only` to skip the timing-shaped and contention experiments
-//! and produce just the trajectory (what the CI perf job runs).
 
 use gemstone::{GemError, GemStone, StoreConfig};
 use gemstone_bench::{build_employees, build_join_collections, fresh, join_query, rng};
@@ -25,28 +17,12 @@ use rand::Rng;
 use std::time::Instant;
 
 fn main() {
-    let trajectory_only = std::env::args().any(|a| a == "--trajectory-only");
-    let mut trajectory: Vec<String> = Vec::new();
-    if !trajectory_only {
-        c4_abort_rate();
-        c6_directory_crossover();
-        c7_loom_vs_object_manager();
-        c9_history_growth();
-    }
-    t2_redundancy(&mut trajectory);
-    c_join_plans(&mut trajectory);
-    write_trajectory(&trajectory);
-}
-
-/// Write the perf trajectory: a JSON array, one flat record per line, in
-/// the shape `perf_gate` parses. Only deterministic counts are gated —
-/// wall-clock fields (`*_us`) ride along for humans.
-fn write_trajectory(records: &[String]) {
-    let json = format!("[\n{}\n]\n", records.join(",\n"));
-    match std::fs::write("BENCH_PR5.json", &json) {
-        Ok(()) => println!("── perf trajectory: {} records → BENCH_PR5.json ──", records.len()),
-        Err(e) => println!("── could not write BENCH_PR5.json: {e} ──"),
-    }
+    c4_abort_rate();
+    c6_directory_crossover();
+    c7_loom_vs_object_manager();
+    c9_history_growth();
+    t2_redundancy();
+    c_join_plans();
 }
 
 /// C4: abort rate vs contention (uniform vs hot-key writes).
@@ -229,17 +205,15 @@ fn c9_history_growth() {
     println!("  (each commit rewrites the object's full association table — the\n   growth the paper's DBA archive operation exists to bound)\n");
 }
 
-/// C-join: hash join vs nested loop on the equi-join workload — the plan
-/// text, the operator counters, and median wall time per evaluation. Also
-/// captures the run as machine-readable JSON in `BENCH_report.json`.
-fn c_join_plans(traj: &mut Vec<String>) {
+/// C-join: hash join vs nested loop on the equi-join workload — the
+/// operator counters and median wall time per evaluation, then what
+/// `explain` reports for the plan the session chooses.
+fn c_join_plans() {
     println!("── C-join: equi-join — hash plan vs nested loop ──");
     println!(
         "{:>6} {:>6} {:>13} {:>15} {:>12} {:>12}",
         "n", "m", "hash visits", "nested visits", "hash µs", "nested µs"
     );
-    let mut runs = Vec::new();
-    let mut metrics_json = String::from("[]");
     for &(n, m) in &[(200usize, 200usize), (1000, 1000)] {
         let (_gs, mut s) = fresh();
         build_join_collections(&mut s, n, m);
@@ -266,8 +240,6 @@ fn c_join_plans(traj: &mut Vec<String>) {
             hash_stats.row_visits(),
             nested_stats.row_visits()
         );
-        traj.push(join_record("hash", n, m, &hash_plan.describe(), &hash_stats, hash_us));
-        traj.push(join_record("nested", n, m, &nested_plan.describe(), &nested_stats, nested_us));
         if (n, m) == (1000, 1000) {
             // The end-to-end path: plan through the session and show what
             // `explain` reports.
@@ -275,99 +247,13 @@ fn c_join_plans(traj: &mut Vec<String>) {
             for line in s.explain().expect("explain after query").lines() {
                 println!("    {line}");
             }
-            // Full registry snapshot for the run — every layer's counters
-            // (storage, txn, interpreter, planner) in one scrape, one JSON
-            // object per metric.
-            let snap = s.metrics();
-            let lines: Vec<String> =
-                snap.to_json_lines().lines().map(|l| format!("    {l}")).collect();
-            metrics_json = format!("[\n{}\n  ]", lines.join(",\n"));
-            // Every counter the join session moved, gated individually.
-            // Durations (`*_ns` histograms are not counters; `*_ns` counter
-            // names would be wall-clock) stay out of the trajectory.
-            for (name, value) in &snap.counters {
-                if name.ends_with("_ns") {
-                    continue;
-                }
-                traj.push(format!("  {{\"id\": \"metric-{name}\", \"value\": {value}}}"));
-            }
         }
-        runs.push(format!(
-            "    {{\"n\": {n}, \"m\": {m}, \"plan\": \"{}\",\n     \"hash\": {}, \"hash_median_us\": {hash_us:.1},\n     \"nested\": {}, \"nested_median_us\": {nested_us:.1}}}",
-            json_escape(&hash_plan.describe()),
-            stats_json(&hash_stats),
-            stats_json(&nested_stats),
-        ));
     }
-    let json = format!(
-        "{{\n  \"experiment\": \"c_join\",\n  \"runs\": [\n{}\n  ],\n  \"metrics\": {}\n}}\n",
-        runs.join(",\n"),
-        metrics_json
-    );
-    match std::fs::write("BENCH_report.json", &json) {
-        Ok(()) => println!("  (counters written to BENCH_report.json)\n"),
-        Err(e) => println!("  (could not write BENCH_report.json: {e})\n"),
-    }
-}
-
-/// One flat trajectory record for a join plan evaluation.
-fn join_record(
-    kind: &str,
-    n: usize,
-    m: usize,
-    plan: &str,
-    s: &PlanStats,
-    median_us: f64,
-) -> String {
-    format!(
-        "  {{\"id\": \"join-{kind}-{n}x{m}\", \"plan\": \"{}\", \"row_visits\": {}, \
-         \"rows_scanned\": {}, \"index_rows\": {}, \"index_hits\": {}, \"index_fallbacks\": {}, \
-         \"select_in\": {}, \"select_out\": {}, \"nest_loops\": {}, \"hash_builds\": {}, \
-         \"hash_probes\": {}, \"hash_matches\": {}, \"rows_out\": {}, \"median_us\": {median_us:.1}}}",
-        json_escape(plan),
-        s.row_visits(),
-        s.rows_scanned,
-        s.index_rows,
-        s.index_hits,
-        s.index_fallbacks,
-        s.select_in,
-        s.select_out,
-        s.nest_loops,
-        s.hash_builds,
-        s.hash_probes,
-        s.hash_matches,
-        s.rows_out,
-    )
-}
-
-/// Hand-rolled JSON for [`PlanStats`] (the harness has no serde).
-fn stats_json(s: &PlanStats) -> String {
-    format!(
-        "{{\"row_visits\": {}, \"rows_scanned\": {}, \"index_rows\": {}, \
-         \"index_hits\": {}, \"index_fallbacks\": {}, \"select_in\": {}, \
-         \"select_out\": {}, \"nest_loops\": {}, \"hash_builds\": {}, \
-         \"hash_probes\": {}, \"hash_matches\": {}, \"rows_out\": {}}}",
-        s.row_visits(),
-        s.rows_scanned,
-        s.index_rows,
-        s.index_hits,
-        s.index_fallbacks,
-        s.select_in,
-        s.select_out,
-        s.nest_loops,
-        s.hash_builds,
-        s.hash_probes,
-        s.hash_matches,
-        s.rows_out,
-    )
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+    println!();
 }
 
 /// T2: the flattening redundancy of §5.2, swept over family size.
-fn t2_redundancy(traj: &mut Vec<String>) {
+fn t2_redundancy() {
     println!("── T2: §5.2 flattening — repeated bytes vs number of children ──");
     println!(
         "{:>10} {:>14} {:>16} {:>12}",
@@ -385,10 +271,6 @@ fn t2_redundancy(traj: &mut Vec<String>) {
             "{n:>10} {nested:>14} {flat:>16} {:>11.0}%",
             100.0 * (flat as f64 - nested as f64) / nested as f64
         );
-        traj.push(format!(
-            "  {{\"id\": \"flatten-{n:02}\", \"children\": {n}, \
-             \"nested_bytes\": {nested}, \"flat_bytes\": {flat}}}"
-        ));
     }
     println!();
 }

@@ -49,7 +49,6 @@ pub use gemstone_telemetry::{
     JournalEvent, JournalReadout, ManualTime, MetricsRegistry, MetricsSnapshot, Observatory,
     ObservatoryConfig, ObservatorySample, PlannerProfile, RecoverySummary, SlowEntry, SpanEvent,
     SpanKind, Telemetry, TelemetryClock, Tracer, TrackHeat, WindowStats, JOURNAL_SCHEMA,
-    JOURNAL_SCHEMA_MIN,
 };
 pub use gemstone_temporal::TxnTime;
 pub use gemstone_txn::{ConflictReport, ConflictStats};

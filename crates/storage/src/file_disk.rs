@@ -158,8 +158,16 @@ impl FileDisk {
                 path.display()
             )));
         }
-        let len = file.metadata().map_err(|e| io_err("stat", &path, e))?.len() as usize;
-        let cap_tracks = (len / track_size).saturating_sub(1);
+        // The header is input: bound it by the file before allocating
+        // from it. A real volume holds the header slot plus a track.
+        let len = file.metadata().map_err(|e| io_err("stat", &path, e))?.len();
+        if len < 2 * track_size as u64 {
+            return Err(GemError::DiskFailure(format!(
+                "{}: corrupt header (track size {track_size} in a {len}-byte file)",
+                path.display()
+            )));
+        }
+        let cap_tracks = len as usize / track_size - 1;
         let mut exists = vec![false; cap_tracks];
         let mut buf = vec![0u8; track_size];
         for (i, slot) in exists.iter_mut().enumerate() {
@@ -638,10 +646,20 @@ mod tests {
     #[test]
     fn open_rejects_foreign_files() {
         let s = Scratch::new("magic");
-        let path = s.file("notdb");
-        std::fs::write(&path, b"definitely not a track file, padded out to header size").unwrap();
-        let err = FaultFile::open(&path).unwrap_err();
-        assert!(format!("{err:?}").contains("bad magic"), "{err:?}");
+        let mut lying = Vec::from(*MAGIC);
+        lying.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        lying.extend_from_slice(&u32::MAX.to_le_bytes());
+        for (name, bytes, want) in [
+            ("notdb", &b"definitely not a track file, padded out to header size"[..], "bad magic"),
+            ("short", &MAGIC[..], "read header"),
+            ("lying", &lying[..], "track size 4294967295 in a 16-byte file"),
+        ] {
+            let path = s.file(name);
+            std::fs::write(&path, bytes).unwrap();
+            let err = FaultFile::open(&path).unwrap_err();
+            assert!(matches!(err, GemError::DiskFailure(_)), "{name}: {err:?}");
+            assert!(format!("{err:?}").contains(want), "{name}: {err:?}");
+        }
     }
 
     #[test]

@@ -48,7 +48,6 @@ use gemstone_telemetry::{Counter, Histogram, Journal, JournalEvent, SpanKind, Tr
 use gemstone_temporal::TxnTime;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Object-image shards; GOOPs are striped round-robin so neighboring
@@ -200,13 +199,6 @@ pub struct PermanentStore {
     /// Flight-recorder handle for store-level events (faults, commit
     /// groups). Checked with one atomic load; `None` until attached.
     journal: Option<Journal>,
-    /// Simulated per-track rotational latency (µs) charged on cache-miss
-    /// reads, *outside every lock*: a real disk serves concurrent requests
-    /// at queue depth > 1, so the disk mutex models only the controller's
-    /// in-memory critical section. Benchmarks dial this up to measure
-    /// whether concurrent sessions overlap their stalls — which they can
-    /// only do if no shared lock spans the fault path.
-    read_stall_us: AtomicU64,
 }
 
 impl PermanentStore {
@@ -236,7 +228,6 @@ impl PermanentStore {
             recovery_report,
             tracer: None,
             journal: None,
-            read_stall_us: AtomicU64::new(0),
         }
     }
 
@@ -351,14 +342,6 @@ impl PermanentStore {
         let mut ev = self.evict.lock();
         ev.limit = limit;
         self.enforce_cache_limit_locked(&mut ev, None);
-    }
-
-    /// Simulate rotational latency: every cache-miss track read sleeps
-    /// `us` microseconds before touching the disk mutex. Zero (the
-    /// default) disables the stall. See the `read_stall_us` field docs —
-    /// this is how the contention benchmark measures fault overlap.
-    pub fn set_read_stall_us(&self, us: u64) {
-        self.read_stall_us.store(us, Ordering::Relaxed);
     }
 
     /// Allocate a fresh permanent identity.
@@ -837,15 +820,6 @@ impl PermanentStore {
     /// Read a blob at `loc` through the track cache, locking the disk only
     /// on a miss.
     fn read_blob(&self, loc: &Location) -> GemResult<Vec<u8>> {
-        let stall = self.read_stall_us.load(Ordering::Relaxed);
-        if stall > 0 {
-            // One deterministic stall per blob read, outside every lock:
-            // concurrent faulters sleep in parallel, exactly as requests
-            // queued against a real disk at depth > 1. Charged per blob
-            // (not per missed track) so the stall count per operation does
-            // not vary with cross-thread cache pollination.
-            std::thread::sleep(std::time::Duration::from_micros(stall));
-        }
         let payload = self.track_size - TRACK_HEADER;
         let mut out = Vec::with_capacity(loc.len as usize);
         for (track, skip, take) in boxer::covering_tracks(loc, payload) {

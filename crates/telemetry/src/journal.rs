@@ -25,36 +25,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Journal schema version written by this build.
-///
-/// v2: track-I/O and safe-write-group events carry the storage backend
-/// (`sim` / `file`), groups carry their fsync count, and the `disk_sync`
-/// event exists (PR 8's durable file backend).
-///
-/// v3: conflict forensics and commit-latency observability — the
-/// `txn_conflict` event (structured abort attribution: kind, culprit,
-/// overlapping objects and home tracks), the `commit_timeline` event
-/// (per-commit phase breakdown feeding the `commit.phase.*_us`
-/// histograms) and the `fsync_latency` event (per-barrier duration
-/// feeding `storage.disk.fsync_us`).
-///
-/// v4: the statistics observatory and cost-based planner — the
-/// `stats_update` event (one refreshed key-distribution sketch, wire
-/// form included so replay round-trips the sketch bytes exactly), the
-/// `plan_choice` event (which plan the cost model picked, how many
-/// alternatives it weighed, and whether the choice was a drift-forced
-/// re-plan) and the `plan_drift` event (an analyzed operator whose
-/// actual cardinality strayed past the drift threshold from its
-/// estimate).
-///
-/// The reader is version-aware: it accepts any segment whose header
-/// version is in [`JOURNAL_SCHEMA_MIN`]`..=JOURNAL_SCHEMA`, but rejects
-/// an event under a header too old to have defined it (a v3-only event
-/// in a v2 segment is corruption, not forward compatibility).
+/// Journal schema version written by this build — and the only one its
+/// reader accepts: a segment whose header names any other is rejected.
+/// Bump it whenever an event's wire form changes.
 pub const JOURNAL_SCHEMA: u64 = 4;
-
-/// Oldest journal schema version this build's reader still replays.
-pub const JOURNAL_SCHEMA_MIN: u64 = 2;
 
 const BUCKETS: usize = 64;
 
@@ -483,17 +457,9 @@ impl JournalEvent {
     /// Parse one JSON line back into an event.  Unknown event names are
     /// an error: within one schema version the event set is closed.
     pub fn parse(line: &str) -> Result<JournalEvent, String> {
-        JournalEvent::parse_at(line, JOURNAL_SCHEMA)
-    }
-
-    /// Parse one JSON line under a specific segment schema version.  An
-    /// event introduced after `schema` is rejected exactly like an
-    /// unknown name: within one schema version the event set is closed,
-    /// so a v3-only event in a v2 segment is corruption.
-    pub fn parse_at(line: &str, schema: u64) -> Result<JournalEvent, String> {
         let obj = parse_flat(line)?;
         let kind = obj.str("e")?;
-        let ev = match kind.as_str() {
+        Ok(match kind.as_str() {
             "base_counter" => {
                 JournalEvent::BaselineCounter { name: obj.str("name")?, value: obj.u64("value")? }
             }
@@ -634,24 +600,7 @@ impl JournalEvent {
                 reopen_reads: obj.u64("reopen_reads")?,
             },
             other => return Err(format!("unknown journal event {other:?}")),
-        };
-        if ev.min_schema() > schema {
-            return Err(format!("unknown journal event {kind:?}"));
-        }
-        Ok(ev)
-    }
-
-    /// The oldest schema version that defines this event.
-    fn min_schema(&self) -> u64 {
-        match self {
-            JournalEvent::StatsUpdate { .. }
-            | JournalEvent::PlanChoice { .. }
-            | JournalEvent::PlanDrift { .. } => 4,
-            JournalEvent::TxnConflict { .. }
-            | JournalEvent::CommitTimeline { .. }
-            | JournalEvent::FsyncLatency { .. } => 3,
-            _ => JOURNAL_SCHEMA_MIN,
-        }
+        })
     }
 
     /// Replay this event's counter/gauge/histogram moves into `r`.  This
@@ -1037,7 +986,6 @@ impl Journal {
                 .map_err(|e| format!("segment {}: {e}", path.display()))?;
             let ends_clean = text.ends_with('\n');
             let lines: Vec<&str> = text.lines().collect();
-            let mut seg_schema = JOURNAL_SCHEMA;
             for (i, line) in lines.iter().enumerate() {
                 if line.is_empty() {
                     continue;
@@ -1048,16 +996,15 @@ impl Journal {
                         return Err(format!("segment {seq} does not start with a header"));
                     }
                     let v = hdr.u64("v").map_err(|e| format!("segment {seq} header: {e}"))?;
-                    if !(JOURNAL_SCHEMA_MIN..=JOURNAL_SCHEMA).contains(&v) {
+                    if v != JOURNAL_SCHEMA {
                         return Err(format!(
                             "unsupported journal schema v{v} (this reader speaks \
-                             v{JOURNAL_SCHEMA_MIN}..=v{JOURNAL_SCHEMA})"
+                             v{JOURNAL_SCHEMA})"
                         ));
                     }
-                    seg_schema = v;
                     continue;
                 }
-                match JournalEvent::parse_at(line, seg_schema) {
+                match JournalEvent::parse(line) {
                     Ok(ev) => events.push(ev),
                     Err(_) if seq == last_seq && i == lines.len() - 1 && !ends_clean => {
                         // In-flight partial write at the live tail.
@@ -1145,44 +1092,35 @@ fn esc(s: &str) -> String {
 }
 
 /// One value in a flat JSON object.
-#[derive(Clone, Debug, PartialEq)]
-pub enum JsonValue {
+#[derive(Debug)]
+enum JsonValue {
     Str(String),
     Num(i128),
     Bool(bool),
-    /// A `[...]` of numbers (bench trajectory files use these).
+    /// A `[...]` of numbers (conflict goops and tracks).
     NumArray(Vec<i128>),
 }
 
 /// A parsed flat JSON object (string/number/bool/number-array values
-/// only — exactly the shapes the journal and the bench trajectory emit).
-#[derive(Debug, Default)]
-pub struct FlatObject(BTreeMap<String, JsonValue>);
+/// only — exactly the shapes the journal emits).
+struct FlatObject(BTreeMap<String, JsonValue>);
 
 impl FlatObject {
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        self.0.get(key)
-    }
-
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.0.keys().map(|k| k.as_str())
-    }
-
-    pub fn str(&self, key: &str) -> Result<String, String> {
+    fn str(&self, key: &str) -> Result<String, String> {
         match self.0.get(key) {
             Some(JsonValue::Str(s)) => Ok(s.clone()),
             other => Err(format!("field {key:?}: expected string, got {other:?}")),
         }
     }
 
-    pub fn u64(&self, key: &str) -> Result<u64, String> {
+    fn u64(&self, key: &str) -> Result<u64, String> {
         match self.0.get(key) {
             Some(JsonValue::Num(n)) if *n >= 0 && *n <= u64::MAX as i128 => Ok(*n as u64),
             other => Err(format!("field {key:?}: expected u64, got {other:?}")),
         }
     }
 
-    pub fn i64(&self, key: &str) -> Result<i64, String> {
+    fn i64(&self, key: &str) -> Result<i64, String> {
         match self.0.get(key) {
             Some(JsonValue::Num(n)) if *n >= i64::MIN as i128 && *n <= i64::MAX as i128 => {
                 Ok(*n as i64)
@@ -1191,14 +1129,14 @@ impl FlatObject {
         }
     }
 
-    pub fn bool(&self, key: &str) -> Result<bool, String> {
+    fn bool(&self, key: &str) -> Result<bool, String> {
         match self.0.get(key) {
             Some(JsonValue::Bool(b)) => Ok(*b),
             other => Err(format!("field {key:?}: expected bool, got {other:?}")),
         }
     }
 
-    pub fn u64_array(&self, key: &str) -> Result<Vec<u64>, String> {
+    fn u64_array(&self, key: &str) -> Result<Vec<u64>, String> {
         match self.0.get(key) {
             Some(JsonValue::NumArray(a)) if a.iter().all(|n| *n >= 0 && *n <= u64::MAX as i128) => {
                 Ok(a.iter().map(|n| *n as u64).collect())
@@ -1210,7 +1148,7 @@ impl FlatObject {
 
 /// Parse one flat JSON object line (string / integer / bool / number
 /// array values).  Hand-rolled: the toolchain has no JSON dependency.
-pub fn parse_flat(line: &str) -> Result<FlatObject, String> {
+fn parse_flat(line: &str) -> Result<FlatObject, String> {
     let mut chars = line.trim().chars().peekable();
     let mut map = BTreeMap::new();
     expect(&mut chars, '{')?;
@@ -1281,15 +1219,6 @@ fn parse_number(chars: &mut Chars) -> Result<i128, String> {
     }
     while matches!(chars.peek(), Some(c) if c.is_ascii_digit()) {
         text.push(chars.next().unwrap());
-    }
-    // Fractional part: the trajectory files carry a few float fields
-    // (timings, scores).  Truncate toward zero — every gated field is
-    // integral, floats are informational.
-    if chars.peek() == Some(&'.') {
-        chars.next();
-        while matches!(chars.peek(), Some(c) if c.is_ascii_digit()) {
-            chars.next();
-        }
     }
     text.parse::<i128>().map_err(|_| format!("bad number {text:?}"))
 }
@@ -1603,136 +1532,6 @@ mod tests {
         let err = Journal::read_from(&dir).unwrap_err();
         assert!(err.contains("unknown journal event"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A journal committed under schema v2 (the previous release) must
-    /// still replay, byte-exact, after the v3 bump: the v2 event set is a
-    /// strict subset of v3 and the replay rules for it are unchanged.
-    #[test]
-    fn v2_fixture_replays_byte_exact_under_v3_reader() {
-        let dir = temp_dir("v2-compat");
-        std::fs::write(
-            dir.join("journal-00000001.jsonl"),
-            concat!(
-                "{\"e\":\"header\",\"v\":2,\"seq\":1}\n",
-                "{\"e\":\"txn_begin\"}\n",
-                "{\"e\":\"cache_access\",\"track\":3,\"shard\":3,\"hit\":true}\n",
-                "{\"e\":\"track_write\",\"track\":3,\"ok\":true,\"bytes\":8192,\
-                 \"backend\":\"file\"}\n",
-                "{\"e\":\"disk_sync\",\"ok\":true,\"backend\":\"file\"}\n",
-                "{\"e\":\"safe_write_group\",\"tracks\":1,\"objects\":2,\"fsyncs\":2,\
-                 \"backend\":\"file\"}\n",
-                "{\"e\":\"txn_abort\",\"conflict\":true}\n",
-                "{\"e\":\"txn_commit\"}\n",
-            ),
-        )
-        .unwrap();
-        let readout = Journal::read_from(&dir).unwrap();
-        assert!(readout.complete);
-        assert_eq!(readout.events.len(), 7);
-
-        // The same moves made live must match the replay byte-for-byte.
-        let live = MetricsRegistry::new();
-        live.counter("txn.begins").inc();
-        live.counter("storage.cache.hits").inc();
-        live.counter("storage.cache.shard3.hits").inc();
-        live.counter("storage.disk.writes").inc();
-        live.counter("storage.disk.bytes_written").add(8192);
-        live.counter("storage.disk.fsyncs").inc();
-        live.counter("storage.store.commits").inc();
-        live.counter("storage.store.objects_written").add(2);
-        live.histogram("storage.commit.group_tracks").record(1);
-        live.counter("txn.aborts").inc();
-        live.counter("txn.conflicts").inc();
-        live.counter("txn.commits").inc();
-        let replayed = replay(&readout.events).snapshot();
-        assert_eq!(replayed.to_json_lines(), live.snapshot().to_json_lines());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A v3-only event under a v2 segment header is corruption, not
-    /// forward compatibility: within one schema version the event set is
-    /// closed, so the reader refuses it with the unknown-event error.
-    #[test]
-    fn v3_event_under_v2_header_is_rejected() {
-        let dir = temp_dir("v3-in-v2");
-        std::fs::write(
-            dir.join("journal-00000001.jsonl"),
-            "{\"e\":\"header\",\"v\":2,\"seq\":1}\n\
-             {\"e\":\"fsync_latency\",\"us\":480,\"backend\":\"file\"}\n",
-        )
-        .unwrap();
-        let err = Journal::read_from(&dir).unwrap_err();
-        assert!(err.contains("unknown journal event \"fsync_latency\""), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A journal committed under schema v3 (the previous release) must
-    /// still replay, byte-exact, after the v4 bump: the v3 event set is a
-    /// strict subset of v4 and the replay rules for it are unchanged.
-    #[test]
-    fn v3_fixture_replays_byte_exact_under_v4_reader() {
-        let dir = temp_dir("v3-compat");
-        std::fs::write(
-            dir.join("journal-00000001.jsonl"),
-            concat!(
-                "{\"e\":\"header\",\"v\":3,\"seq\":1}\n",
-                "{\"e\":\"txn_begin\"}\n",
-                "{\"e\":\"txn_abort\",\"conflict\":true}\n",
-                "{\"e\":\"txn_conflict\",\"kind\":\"overlap\",\"session\":2,\"start\":10,\
-                 \"culprit_time\":12,\"culprit_session\":1,\"goops\":[77],\"tracks\":[3]}\n",
-                "{\"e\":\"commit_timeline\",\"session\":2,\"snapshot_age_us\":1500,\
-                 \"validation_us\":40,\"safe_write_us\":900,\"fsync_us\":600,\
-                 \"publish_us\":5}\n",
-                "{\"e\":\"fsync_latency\",\"us\":480,\"backend\":\"file\"}\n",
-                "{\"e\":\"txn_commit\"}\n",
-            ),
-        )
-        .unwrap();
-        let readout = Journal::read_from(&dir).unwrap();
-        assert!(readout.complete);
-        assert_eq!(readout.events.len(), 6);
-
-        // The same moves made live must match the replay byte-for-byte.
-        let live = MetricsRegistry::new();
-        live.counter("txn.begins").inc();
-        live.counter("txn.aborts").inc();
-        live.counter("txn.conflicts").inc();
-        live.histogram("commit.phase.snapshot_age_us").record(1500);
-        live.histogram("commit.phase.validation_us").record(40);
-        live.histogram("commit.phase.safe_write_us").record(900);
-        live.histogram("commit.phase.fsync_us").record(600);
-        live.histogram("commit.phase.publish_us").record(5);
-        live.histogram("storage.disk.fsync_us").record(480);
-        live.counter("txn.commits").inc();
-        let replayed = replay(&readout.events).snapshot();
-        assert_eq!(replayed.to_json_lines(), live.snapshot().to_json_lines());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A v4-only event under a v3 segment header is corruption, not
-    /// forward compatibility: within one schema version the event set is
-    /// closed, so the reader refuses it with the unknown-event error.
-    #[test]
-    fn v4_event_under_v3_header_is_rejected() {
-        for line in [
-            "{\"e\":\"stats_update\",\"set\":1,\"path\":\"s3\",\"cardinality\":9,\"total\":9,\
-             \"distinct\":3,\"fuzz\":0,\"points\":\"\"}",
-            "{\"e\":\"plan_choice\",\"session\":1,\"label\":\"q\",\"chosen\":\"scan v0\",\
-             \"cost_milli\":1000,\"alternatives\":1,\"cost_based\":false,\"replan\":false}",
-            "{\"e\":\"plan_drift\",\"session\":1,\"label\":\"q\",\"plan\":\"scan v0\",\"op\":0,\
-             \"est\":1,\"actual\":50,\"err_pct\":4900}",
-        ] {
-            let dir = temp_dir("v4-in-v3");
-            std::fs::write(
-                dir.join("journal-00000001.jsonl"),
-                format!("{{\"e\":\"header\",\"v\":3,\"seq\":1}}\n{line}\n"),
-            )
-            .unwrap();
-            let err = Journal::read_from(&dir).unwrap_err();
-            assert!(err.contains("unknown journal event"), "{err}");
-            let _ = std::fs::remove_dir_all(&dir);
-        }
     }
 
     #[test]

@@ -33,8 +33,8 @@ pub use bundle::{
 };
 pub use clock::{ManualTime, TelemetryClock};
 pub use journal::{
-    effect_class_counter, parse_flat, replay, FlatObject, Journal, JournalConfig, JournalEvent,
-    JournalReadout, JsonValue, JOURNAL_SCHEMA, JOURNAL_SCHEMA_MIN,
+    effect_class_counter, replay, Journal, JournalConfig, JournalEvent, JournalReadout,
+    JOURNAL_SCHEMA,
 };
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsBatch, MetricsRegistry, MetricsSnapshot,

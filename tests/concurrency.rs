@@ -2,7 +2,10 @@
 //! system (§6's Transaction Manager), including SafeTime (§5.4) and a
 //! serializability check on concurrent counter updates.
 
-use gemstone::{ConflictKind, GemError, GemStone};
+use gemstone::{ConflictKind, GemError, GemStone, Journal, JournalConfig, JournalEvent};
+
+mod common;
+use common::diag_dir;
 
 /// PR 9 tentpole: a losing validation yields a structured forensic
 /// report — the kind, the culprit commit (time + session), the
@@ -142,49 +145,125 @@ fn safe_time_is_stable_under_running_writers() {
     assert_eq!(reader.run("Log at: #n").unwrap().as_int(), Some(4));
 }
 
-#[test]
-fn concurrent_threads_preserve_serializability() {
-    // N threads each try to increment a shared counter M times, retrying on
-    // conflict. The final value must equal total successful increments.
-    let gs = GemStone::in_memory();
+/// Four sessions each land 25 read-modify-write increments, retrying on
+/// conflict — all on counter 0 (`shared`) or each on its own — beside a
+/// fifth session that only reads. Every thread holds its first
+/// transaction open across a barrier, so four commits really race from
+/// one snapshot. Answers the aborts the writers observed.
+fn hammer(gs: &GemStone, shared: bool) -> u64 {
     let mut setup = gs.login("system").unwrap();
-    setup.run("Counter := Dictionary new. Counter at: #n put: 0").unwrap();
+    setup
+        .run(
+            "Counters := Dictionary new.
+             0 to: 3 do: [:i | Counters at: i put: (Dictionary new at: #n put: 0; yourself)]",
+        )
+        .unwrap();
     setup.commit().unwrap();
     drop(setup);
 
-    let threads = 4;
-    let per_thread = 25;
-    let total: i64 = crossbeam::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..threads {
-            let gs = gs.clone();
-            handles.push(scope.spawn(move |_| {
+    let barrier = &std::sync::Barrier::new(5);
+    std::thread::scope(|scope| {
+        let writers: Vec<_> = (0..4)
+            .map(|t| {
                 let mut s = gs.login("system").unwrap();
-                let mut done = 0i64;
-                while done < per_thread {
-                    s.run("Counter at: #n put: (Counter at: #n) + 1").unwrap();
-                    match s.commit() {
-                        Ok(_) => done += 1,
-                        Err(GemError::TransactionConflict { .. }) => {} // retry
-                        Err(e) => panic!("{e}"),
+                let k = if shared { 0 } else { t };
+                scope.spawn(move || {
+                    let (mut done, mut aborts) = (0, 0u64);
+                    while done < 25 {
+                        s.run(&format!(
+                            "(Counters at: {k}) at: #n put: ((Counters at: {k}) at: #n) + 1"
+                        ))
+                        .unwrap();
+                        if done + aborts == 0 {
+                            barrier.wait();
+                        }
+                        match s.commit() {
+                            Ok(_) => done += 1,
+                            Err(GemError::TransactionConflict { .. }) => aborts += 1, // retry
+                            Err(e) => panic!("{e}"),
+                        }
                     }
+                    aborts
+                })
+            })
+            .collect();
+        let mut r = gs.login("system").unwrap();
+        scope.spawn(move || {
+            for i in 0..25 {
+                r.run("(Counters at: 0) at: #n").unwrap();
+                if i == 0 {
+                    barrier.wait();
                 }
-                done
-            }));
-        }
-        handles.into_iter().map(|h| h.join().unwrap()).sum()
+                r.commit().expect("a read-only transaction never aborts against a writer");
+            }
+        });
+        writers.into_iter().map(|h| h.join().unwrap()).sum()
     })
-    .unwrap();
+}
 
-    assert_eq!(total, threads as i64 * per_thread);
-    let mut check = gs.login("system").unwrap();
-    let v = check.run("Counter at: #n").unwrap();
-    assert_eq!(v.as_int(), Some(total), "no lost updates under contention");
-    let (commits, aborts) = gs.database().txn_counts();
-    assert!(commits >= total as u64);
-    // With 4 threads hammering one element, some aborts are expected (not
-    // asserted strictly — scheduling dependent).
-    let _ = aborts;
+#[test]
+fn concurrent_threads_preserve_serializability() {
+    for shared in [false, true] {
+        let gs = GemStone::in_memory();
+        let aborts = hammer(&gs, shared);
+        if shared {
+            // One of the four barrier-held commits wins; the other three
+            // read the counter it overwrote.
+            assert!(aborts >= 3, "full contention must abort, saw {aborts}");
+        } else {
+            assert_eq!(aborts, 0, "disjoint writers never conflict");
+        }
+        let mut check = gs.login("system").unwrap();
+        let v = check.run("Counters inject: 0 into: [:a :c | a + (c at: #n)]").unwrap();
+        assert_eq!(v.as_int(), Some(100), "no lost updates (shared: {shared})");
+    }
+}
+
+/// Forensics conserve under contention: with the flight recorder on from
+/// birth, every observed abort is exactly one journaled `TxnConflict` and
+/// one tick of `txn.conflicts`, each overlap names its culprit, and every
+/// writing commit leaves exactly one `CommitTimeline`.
+#[test]
+fn conflict_forensics_conserve_under_contention() {
+    let dir = diag_dir("forensics");
+    let gs = GemStone::in_memory();
+    gs.database().start_journal(JournalConfig::at(dir.path())).unwrap();
+    let aborts = hammer(&gs, true);
+    gs.telemetry().journal.flush();
+    let events = Journal::read_from(&dir).unwrap().events;
+
+    let (mut conflicts, mut timelines) = (0, 0);
+    for e in &events {
+        match e {
+            JournalEvent::TxnConflict {
+                kind,
+                culprit_time,
+                culprit_session,
+                goops,
+                tracks,
+                ..
+            } => {
+                conflicts += 1;
+                assert_eq!(
+                    kind.as_str(),
+                    "overlap",
+                    "begin retries past the prune watermark: never a refusal"
+                );
+                assert!(
+                    *culprit_time > 0
+                        && *culprit_session > 0
+                        && !goops.is_empty()
+                        && !tracks.is_empty(),
+                    "unattributed conflict: {e:?}"
+                );
+            }
+            JournalEvent::CommitTimeline { .. } => timelines += 1,
+            _ => {}
+        }
+    }
+    assert_eq!(conflicts, aborts, "one journaled TxnConflict per observed abort");
+    assert_eq!(gs.database().metrics_snapshot().counter("txn.conflicts"), aborts);
+    assert_eq!(timelines, 101, "setup + 100 landed increments; aborted prepares record none");
 }
 
 #[test]

@@ -114,4 +114,40 @@ fn static_read_only_transactions_take_the_fast_commit_path() {
         "a writing transaction slipped onto the read-only fast path"
     );
     assert_eq!(s.run("Staff size").unwrap().as_int(), Some(3));
+
+    // The same from concurrent sessions, one read per transaction: every
+    // statement is classified read-only before it runs, every commit takes
+    // the fast path, none aborts, and no summary comes back Unknown.
+    for (threads, ops) in [(1, 25), (2, 50), (4, 100)] {
+        let before = s.metrics();
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                let mut t = gs.login("system").unwrap();
+                scope.spawn(move || {
+                    for _ in 0..25 {
+                        assert_eq!(t.run("(Staff at: 1) salary").unwrap().as_int(), Some(10));
+                        t.commit().expect("the fast path never conflicts");
+                    }
+                });
+            }
+        });
+        let diff = s.metrics().diff(&before);
+        for c in ["static_ro_commits", "stmts_static_ro", "stmts_classified"] {
+            assert_eq!(diff.counter(&format!("opal.effects.{c}")), ops, "{c}, {threads} threads");
+        }
+        assert_eq!(diff.counter("opal.effects.unknown"), 0);
+    }
+
+    // Alternating read and write transactions: exactly the read half takes
+    // the fast path — no writer leaks onto it, no reader misses it.
+    let before = s.metrics();
+    for i in 0..10 {
+        let stmt = if i % 2 == 0 { "Staff size" } else { "Staff add: Emp new" };
+        s.run(stmt).unwrap();
+        s.commit().unwrap();
+    }
+    let diff = s.metrics().diff(&before);
+    assert_eq!(diff.counter("opal.effects.static_ro_commits"), 5);
+    assert_eq!(diff.counter("opal.effects.stmts_static_ro"), 5);
+    assert_eq!(s.run("Staff size").unwrap().as_int(), Some(8), "the write half landed");
 }

@@ -85,6 +85,51 @@ fn temporal_reads_survive_reopen() {
     assert_eq!(s.run_display("Car at: #assignedTo").unwrap(), "'Milton'");
 }
 
+/// The group-commit protocol, counted on the real file: every session
+/// commit is one safe-write group of exactly two fsyncs (data barrier,
+/// ack barrier) however many tracks it writes, and everything acked
+/// answers after reopen.
+#[test]
+fn file_commits_cost_two_fsyncs_per_group() {
+    let dir = scratch_dir("target/durability", "fsyncs");
+    std::fs::create_dir_all(&dir).unwrap();
+    let db = dir.join("fsyncs.gem");
+
+    let gs = GemStone::create_file(&db, small_cfg()).unwrap();
+    let mut s = gs.login("system").unwrap();
+    s.run("Log := OrderedCollection new").unwrap();
+    s.commit().unwrap();
+
+    let before = s.metrics();
+    for i in 0..32 {
+        s.run(&format!("Log add: {i}")).unwrap();
+        s.commit().unwrap();
+    }
+    let d = s.metrics().diff(&before);
+    assert_eq!(d.counter("storage.disk.fsyncs"), 64, "32 groups, two barriers each");
+    assert_eq!(d.counter("storage.disk.writes"), 128);
+
+    let before = s.metrics();
+    s.run(
+        "| t | Wide := OrderedCollection new.
+         1 to: 40 do: [:i | t := Dictionary new. t at: #n put: i. Wide add: t]",
+    )
+    .unwrap();
+    s.commit().unwrap();
+    let d = s.metrics().diff(&before);
+    assert_eq!(d.counter("storage.disk.writes"), 6, "one wide group");
+    assert_eq!(d.counter("storage.disk.fsyncs"), 2, "barriers are per group, not per track");
+    drop(s);
+    drop(gs);
+
+    let gs = GemStone::open_file(&db, 16).unwrap();
+    let mut s = gs.login("system").unwrap();
+    assert_eq!(s.run("Log size").unwrap().as_int(), Some(32));
+    assert_eq!(s.run("Log last").unwrap().as_int(), Some(31));
+    assert_eq!(s.run("Wide size").unwrap().as_int(), Some(40));
+    assert_eq!(s.run("(Wide at: 40) at: #n").unwrap().as_int(), Some(40));
+}
+
 /// Reopening a path that never held a database is an error, not a crash;
 /// creating over an existing database is refused.
 #[test]
