@@ -8,8 +8,9 @@
 //!
 //! - the [`PermanentStore`] is internally concurrent (sharded object table,
 //!   sharded track cache, single writer lock) and needs no outer lock;
-//! - the [`CommittedView`] — the committed time plus the committed globals —
-//!   is an immutable `Arc` snapshot swapped atomically at commit-publish.
+//! - the [`CommittedView`] — the committed time, the committed globals and
+//!   the feed of objects recent commits changed — is an immutable `Arc`
+//!   snapshot swapped atomically at commit-publish.
 //!   Sessions clone the Arc at transaction begin and read it lock-free for
 //!   the rest of the transaction;
 //! - schema (symbols, classes, directories, users, method sources) sits
@@ -32,7 +33,7 @@ use crate::meta::{self, MethodSource};
 use crate::session::Session;
 use gemstone_calculus::StatsCatalog;
 use gemstone_object::{
-    ClassId, ClassTable, GemError, GemResult, Kernel, PRef, SymbolId, SymbolTable,
+    ClassId, ClassTable, GemError, GemResult, Goop, Kernel, PRef, SymbolId, SymbolTable,
 };
 use gemstone_opal::{install_kernel_methods, CompiledMethod, EffectCache};
 use gemstone_storage::{DiskArray, PermanentStore, StoreConfig};
@@ -100,6 +101,59 @@ pub(crate) struct CommittedView {
     /// Committed global bindings. Shared immutably: a commit that changes
     /// globals builds a new map and publishes a new Arc.
     pub globals: Arc<HashMap<SymbolId, PRef>>,
+    /// The committed-change feed: the objects each of the last
+    /// [`FEED_COMMITS`] writing commits changed, oldest first. Immutable
+    /// like the rest of the view, so a session reads it without any lock.
+    feed: Arc<[(TxnTime, Arc<[Goop]>)]>,
+    /// Every object changed by a commit later than this time is named in
+    /// `feed`; about older commits the feed says nothing.
+    horizon: TxnTime,
+}
+
+/// Commits the change feed remembers. A session idle for longer than this
+/// many foreign commits pays one whole-workspace refresh at its next begin.
+const FEED_COMMITS: usize = 64;
+
+impl CommittedView {
+    /// The view a freshly created or reopened database starts from: nothing
+    /// is known to have changed after `time`.
+    fn initial(time: TxnTime, globals: Arc<HashMap<SymbolId, PRef>>) -> CommittedView {
+        CommittedView { time, globals, feed: Arc::new([]), horizon: time }
+    }
+
+    /// The view a commit at `time` publishes over this one: same feed plus
+    /// one entry naming the objects the commit `changed` (none for a
+    /// schema-only commit), the oldest entry falling behind the horizon
+    /// once the feed is full.
+    pub fn advanced(
+        &self,
+        time: TxnTime,
+        globals: Arc<HashMap<SymbolId, PRef>>,
+        changed: impl Iterator<Item = Goop>,
+    ) -> CommittedView {
+        let changed: Arc<[Goop]> = changed.collect();
+        if changed.is_empty() {
+            return CommittedView { time, globals, feed: self.feed.clone(), horizon: self.horizon };
+        }
+        let skip = (self.feed.len() + 1).saturating_sub(FEED_COMMITS);
+        let horizon = if skip == 0 { self.horizon } else { self.feed[skip - 1].0 };
+        let feed = self.feed[skip..].iter().cloned().chain([(time, changed)]).collect();
+        CommittedView { time, globals, feed, horizon }
+    }
+
+    /// The objects changed by commits in `(since, self.time]`, newest commit
+    /// first, or `None` when `since` lies beyond the feed's horizon and only
+    /// a whole-workspace refresh is safe. An object changed by several of
+    /// those commits is named once per commit.
+    pub fn changed_since(&self, since: TxnTime) -> Option<impl Iterator<Item = Goop> + '_> {
+        (since >= self.horizon).then(|| {
+            self.feed
+                .iter()
+                .rev()
+                .take_while(move |(t, _)| *t > since)
+                .flat_map(|(_, goops)| goops.iter().copied())
+        })
+    }
 }
 
 /// The GemStone database: create one, share it, log sessions in.
@@ -341,10 +395,10 @@ impl Database {
             store,
             schema: RwLock::new(schema),
             methods: RwLock::new(Vec::new()),
-            committed: RwLock::new(Arc::new(CommittedView {
-                time: TxnTime::EPOCH,
-                globals: Arc::new(HashMap::new()),
-            })),
+            committed: RwLock::new(Arc::new(CommittedView::initial(
+                TxnTime::EPOCH,
+                Arc::new(HashMap::new()),
+            ))),
             commit_lock: Mutex::new(()),
             effects: Mutex::new(EffectCache::new()),
             txns,
@@ -363,7 +417,7 @@ impl Database {
             db.schema.write().flush_meta(&db.store, &globals);
             let t = db.txns.now();
             db.store.commit_batch(t, &[])?;
-            *db.committed.write() = Arc::new(CommittedView { time: t, globals });
+            *db.committed.write() = Arc::new(CommittedView::initial(t, globals));
         }
         Ok(db)
     }
@@ -480,10 +534,7 @@ impl Database {
             store,
             schema: RwLock::new(schema),
             methods: RwLock::new(Vec::new()),
-            committed: RwLock::new(Arc::new(CommittedView {
-                time: last,
-                globals: Arc::new(globals),
-            })),
+            committed: RwLock::new(Arc::new(CommittedView::initial(last, Arc::new(globals)))),
             commit_lock: Mutex::new(()),
             effects: Mutex::new(EffectCache::new()),
             txns,

@@ -61,6 +61,9 @@ pub struct Session {
     /// The committed snapshot this session reads against: refreshed at
     /// transaction begin, immutable (and lock-free to read) afterwards.
     snap: Arc<CommittedView>,
+    /// The committed time every clean cached copy in `ws` is current as of
+    /// (or newer): what the next transaction begin refreshes forward from.
+    ws_time: TxnTime,
     reads: AccessSet,
     dial: TimeDial,
     /// Globals assigned this transaction, not yet committed.
@@ -297,6 +300,7 @@ impl Session {
             (schema.kernel, schema.block_class)
         };
         let snap = db.committed_view();
+        let ws_time = snap.time;
         let telemetry = db.telemetry().clone();
         let session_id = telemetry.new_session_id();
         let m = SessionMetrics::bind(&telemetry.registry);
@@ -306,6 +310,7 @@ impl Session {
             user: user.to_string(),
             txn: None,
             snap,
+            ws_time,
             reads: AccessSet::new(),
             dial: TimeDial::now(),
             pending_globals: HashMap::new(),
@@ -353,7 +358,7 @@ impl Session {
 
     // ----------------------------------------------------- transactions
 
-    fn ensure_txn(&mut self) {
+    fn ensure_txn(&mut self) -> GemResult<()> {
         if self.txn.is_none() {
             // Snapshot refresh, then registration — atomically with
             // respect to log pruning. `begin_at_checked` refuses a start
@@ -384,8 +389,14 @@ impl Session {
             }
             self.reads.clear();
             self.txn_static_ro = true;
-            self.refresh_workspace();
+            if let Err(e) = self.refresh_workspace() {
+                // A cached copy could not be brought up to the snapshot:
+                // the transaction must not run against it.
+                self.abort();
+                return Err(e);
+            }
         }
+        Ok(())
     }
 
     /// Record the session's marker span on first use while tracing is on,
@@ -432,24 +443,31 @@ impl Session {
         }
     }
 
-    /// Refresh cached committed copies to the transaction's snapshot, so a
-    /// new transaction sees a fresh consistent state while session
-    /// pointers stay stable.
-    fn refresh_workspace(&mut self) {
-        let targets: Vec<(Oop, Goop)> =
-            self.ws.iter().filter_map(|(oop, o)| o.goop.map(|g| (oop, g))).collect();
+    /// Bring cached committed copies up to the transaction's snapshot, so a
+    /// new transaction sees a fresh consistent state while session pointers
+    /// stay stable. Only the objects the view's change feed names since
+    /// `ws_time` are re-read — none when nothing was committed in between;
+    /// a session idle past the feed's horizon re-reads its whole workspace.
+    fn refresh_workspace(&mut self) -> GemResult<()> {
+        let snap = self.snap.clone();
+        let targets: Vec<(Oop, Goop)> = match snap.changed_since(self.ws_time) {
+            Some(changed) => {
+                let mut named: Vec<Goop> = changed.collect();
+                named.sort_unstable();
+                named.dedup();
+                named.into_iter().filter_map(|g| Some((self.ws.lookup_goop(g)?, g))).collect()
+            }
+            None => self.ws.iter().filter_map(|(oop, o)| o.goop.map(|g| (oop, g))).collect(),
+        };
         let session_id = self.session_id;
         let io_parent = self.io_parent();
-        let t = self.snap.time;
         for (oop, goop) in targets {
-            let Ok(pobj) = self.db.store.get_traced(goop, session_id, io_parent) else {
-                continue;
-            };
+            let pobj = self.db.store.get_traced(goop, session_id, io_parent)?;
             let class = pobj.class;
             let segment = pobj.segment;
             let alias_next = pobj.alias_next;
-            let elems: Vec<(ElemName, PRef)> = pobj.elements_at(t).collect();
-            let bytes = pobj.bytes_at(t).map(|b| b.to_vec());
+            let elems: Vec<(ElemName, PRef)> = pobj.elements_at(snap.time).collect();
+            let bytes = pobj.bytes_at(snap.time).map(|b| b.to_vec());
             drop(pobj);
             let mut elements = BTreeMap::new();
             for (name, v) in elems {
@@ -459,6 +477,8 @@ impl Session {
             obj.class = class;
             obj.refresh_from_fault(elements, bytes, alias_next, segment);
         }
+        self.ws_time = snap.time;
+        Ok(())
     }
 
     /// Commit the current transaction: optimistic validation, then the
@@ -523,6 +543,12 @@ impl Session {
                 for name in obj.dirty_elems() {
                     writes.record(SlotId::Elem(goop, name));
                     elem_writes.push((name, self.oop_to_pref(obj.elem(name))?));
+                }
+                if elem_writes.is_empty() && !obj.bytes_dirty() {
+                    // Dirty with no element or byte write: a segment move.
+                    // It still changes the object, so it must consume a
+                    // commit time and be validated like any other write.
+                    writes.record(SlotId::Object(goop));
                 }
             }
             let bytes_write = if obj.is_new() || obj.bytes_dirty() {
@@ -599,6 +625,10 @@ impl Session {
         //    schema-only commit consumed no transaction time: it rewrites
         //    metadata at the unchanged committed time.
         let committed = self.db.committed_view();
+        debug_assert!(
+            deltas.is_empty() || time > committed.time,
+            "a commit that changes objects must publish at a fresh time"
+        );
         let store_time = if time > committed.time { time } else { committed.time };
         let pending: Vec<(SymbolId, Oop)> = self.pending_globals.drain().collect();
         let mut globals = committed.globals.clone();
@@ -672,7 +702,8 @@ impl Session {
             // The writes are durable: log the commit and publish the view.
             let publish_from = self.telemetry.clock().now_ns();
             self.db.txns.finalize(token, time, &writes)?;
-            let view = Arc::new(CommittedView { time: store_time, globals });
+            let changed = deltas.iter().map(|d| d.goop);
+            let view = Arc::new(committed.advanced(store_time, globals, changed));
             *self.db.committed.write() = view.clone();
             self.snap = view;
             publish_us = self.telemetry.clock().now_ns().saturating_sub(publish_from) / 1_000;
@@ -696,7 +727,10 @@ impl Session {
                 publish_us,
             });
         }
-        // 6. The workspace copies are now clean cached copies.
+        // 6. The workspace copies are now clean cached copies. `ws_time`
+        //    stays at this transaction's start: objects it never read may
+        //    have changed under foreign commits since, and the next begin
+        //    must still refresh them.
         for &oop in &dirty {
             let goop = self.ws.get(oop)?.goop.expect("assigned");
             self.ws.get_mut(oop)?.mark_committed(goop);
@@ -720,6 +754,8 @@ impl Session {
 
     fn discard_workspace(&mut self) {
         self.ws = Workspace::new();
+        // Whatever is faulted from here on is read at `snap.time` or later.
+        self.ws_time = self.snap.time;
         self.pending_globals.clear();
         self.reads.clear();
         self.txn = None;
@@ -853,7 +889,10 @@ impl Session {
     /// is done entirely in the GemStone system").
     pub fn run(&mut self, source: &str) -> GemResult<Oop> {
         let t0 = self.telemetry.clock().now_ns();
-        self.ensure_txn();
+        if let Err(e) = self.ensure_txn() {
+            self.capture_failure(&e);
+            return Err(e);
+        }
         let parent = if self.telemetry.tracer.enabled() {
             match self.txn_span.as_ref() {
                 Some(s) => s.id(),
@@ -900,18 +939,24 @@ impl Session {
                 });
             }
         }
-        // Structured failures auto-capture a diagnostic bundle while the
-        // flight recorder is running.
-        match &result {
-            Err(GemError::DiskDead) => {
+        if let Err(e) = &result {
+            self.capture_failure(e);
+        }
+        result
+    }
+
+    /// Structured failures auto-capture a diagnostic bundle while the
+    /// flight recorder is running.
+    fn capture_failure(&self, e: &GemError) {
+        match e {
+            GemError::DiskDead => {
                 self.db.capture_bundle("disk-dead");
             }
-            Err(GemError::CorruptMethod(_)) => {
+            GemError::CorruptMethod(_) => {
                 self.db.capture_bundle("corrupt-method");
             }
             _ => {}
         }
-        result
     }
 
     fn run_compiled(&mut self, source: &str) -> GemResult<Oop> {
@@ -1075,7 +1120,7 @@ impl Session {
     /// the chosen plan and its counters for [`Session::explain`], and
     /// returns one tuple per result-template row.
     pub fn query(&mut self, query: &Query) -> GemResult<Vec<Vec<Oop>>> {
-        self.ensure_txn();
+        self.ensure_txn()?;
         if !self.stmt_active {
             self.stmt_label = "(query)".into();
         }
@@ -1505,7 +1550,7 @@ impl Session {
 
     /// Send a message to an object from Rust.
     pub fn send(&mut self, recv: Oop, selector: &str, args: &[Oop]) -> GemResult<Oop> {
-        self.ensure_txn();
+        self.ensure_txn()?;
         // Unclassified execution: anything could be written.
         self.txn_static_ro = false;
         let sel = self.intern(selector);
@@ -1561,7 +1606,7 @@ impl Session {
     }
 
     fn elem_read(&mut self, obj: Oop, name: ElemName) -> GemResult<Oop> {
-        self.ensure_txn();
+        self.ensure_txn()?;
         let obj = self.swizzle(obj)?;
         let (goop, segment) = {
             let o = self.ws.get(obj)?;
@@ -1590,7 +1635,7 @@ impl Session {
     }
 
     fn elem_write(&mut self, obj: Oop, name: ElemName, v: Oop) -> GemResult<()> {
-        self.ensure_txn();
+        self.ensure_txn()?;
         self.note_write();
         let obj = self.swizzle(obj)?;
         // Past states are immutable — but transient scratch objects (no
@@ -1779,7 +1824,7 @@ impl OpalWorld for Session {
     }
 
     fn new_object(&mut self, class: ClassId) -> GemResult<Oop> {
-        self.ensure_txn();
+        self.ensure_txn()?;
         // A fresh object is born dirty: allocation is a local write.
         self.note_write();
         let format = self.class_format(class);
@@ -1790,16 +1835,16 @@ impl OpalWorld for Session {
         Ok(self.ws.alloc(obj))
     }
 
-    fn new_string(&mut self, s: &str) -> Oop {
+    fn new_string(&mut self, s: &str) -> GemResult<Oop> {
         // Open the transaction first: the clear below must not be undone
         // by a later lazy transaction begin resetting the flag.
-        self.ensure_txn();
+        self.ensure_txn()?;
         self.note_write();
-        self.ws.alloc(HeapObject::new_bytes(
+        Ok(self.ws.alloc(HeapObject::new_bytes(
             self.kernel.string,
             SegmentId::SYSTEM,
             s.as_bytes().to_vec(),
-        ))
+        )))
     }
 
     fn string_value(&self, oop: Oop) -> Option<String> {
@@ -1820,7 +1865,7 @@ impl OpalWorld for Session {
     }
 
     fn get_elem_at(&mut self, obj: Oop, name: ElemName, t: TxnTime) -> GemResult<Oop> {
-        self.ensure_txn();
+        self.ensure_txn()?;
         let obj = self.swizzle(obj)?;
         let goop = self.ws.get(obj)?.goop;
         match goop {
@@ -1843,7 +1888,7 @@ impl OpalWorld for Session {
     }
 
     fn elements(&mut self, obj: Oop) -> GemResult<Vec<Oop>> {
-        self.ensure_txn();
+        self.ensure_txn()?;
         let obj = self.swizzle(obj)?;
         let goop = self.ws.get(obj)?.goop;
         if let (Some(t), Some(g)) = (self.dial.setting(), goop) {
@@ -1872,7 +1917,7 @@ impl OpalWorld for Session {
     }
 
     fn element_names(&mut self, obj: Oop) -> GemResult<Vec<ElemName>> {
-        self.ensure_txn();
+        self.ensure_txn()?;
         let obj = self.swizzle(obj)?;
         let goop = self.ws.get(obj)?.goop;
         if let (Some(t), Some(g)) = (self.dial.setting(), goop) {
@@ -1891,7 +1936,7 @@ impl OpalWorld for Session {
     }
 
     fn add_aliased(&mut self, obj: Oop, v: Oop) -> GemResult<()> {
-        self.ensure_txn();
+        self.ensure_txn()?;
         self.note_write();
         let obj = self.swizzle(obj)?;
         if self.ws.get(obj)?.goop.is_some() {
@@ -1905,7 +1950,7 @@ impl OpalWorld for Session {
     }
 
     fn push_indexed(&mut self, obj: Oop, v: Oop) -> GemResult<i64> {
-        self.ensure_txn();
+        self.ensure_txn()?;
         self.note_write();
         let obj = self.swizzle(obj)?;
         if self.ws.get(obj)?.goop.is_some() {
@@ -1918,7 +1963,7 @@ impl OpalWorld for Session {
     }
 
     fn obj_size(&mut self, obj: Oop) -> GemResult<usize> {
-        self.ensure_txn();
+        self.ensure_txn()?;
         let obj = self.swizzle(obj)?;
         let goop = self.ws.get(obj)?.goop;
         if let (Some(t), Some(g)) = (self.dial.setting(), goop) {
@@ -1967,7 +2012,7 @@ impl OpalWorld for Session {
     }
 
     fn set_global(&mut self, name: SymbolId, v: Oop) -> GemResult<()> {
-        self.ensure_txn();
+        self.ensure_txn()?;
         self.note_write();
         self.pending_globals.insert(name, v);
         Ok(())
@@ -2047,7 +2092,7 @@ impl OpalWorld for Session {
         template: &QueryTemplate,
         captured: &[Oop],
     ) -> GemResult<Vec<Oop>> {
-        self.ensure_txn();
+        self.ensure_txn()?;
         let coll = self.swizzle(coll)?;
         // Substitute the receiver and captured values into the template.
         // A verified SelectQuery always supplies exactly `n_captured` values

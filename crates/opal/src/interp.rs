@@ -564,7 +564,7 @@ impl<'w, W: OpalWorld> Interpreter<'w, W> {
             Literal::Float(x) => Oop::float(*x),
             Literal::Sym(s) => Oop::sym(*s),
             Literal::Char(c) => Oop::char(*c),
-            Literal::Str(s) => self.world.new_string(s),
+            Literal::Str(s) => self.world.new_string(s)?,
             Literal::Array(items) => {
                 let k = self.world.kernel();
                 let arr = self.world.new_object(k.array)?;
@@ -741,7 +741,7 @@ impl<'w, W: OpalWorld> Interpreter<'w, W> {
             NOT_NIL => Oop::bool(!recv.is_nil()),
             PRINT_STRING => {
                 let s = print_oop(self.world, recv, PrintDepth::default())?;
-                self.world.new_string(&s)
+                self.world.new_string(&s)?
             }
             EQUAL => Oop::bool(self.world.equals(recv, arg0)?),
             NOT_EQUAL => Oop::bool(!self.world.equals(recv, arg0)?),
@@ -861,7 +861,7 @@ impl<'w, W: OpalWorld> Interpreter<'w, W> {
                     .string_value(arg0)
                     .map(Ok)
                     .unwrap_or_else(|| print_oop(self.world, arg0, PrintDepth::default()))?;
-                self.world.new_string(&format!("{a}{b}"))
+                self.world.new_string(&format!("{a}{b}"))?
             }
             AS_SYMBOL => {
                 let s = self.world.string_value(recv).ok_or_else(|| GemError::TypeMismatch {
@@ -873,14 +873,14 @@ impl<'w, W: OpalWorld> Interpreter<'w, W> {
             AS_STRING => match self.world.string_value(recv) {
                 Some(s) => {
                     if recv.as_sym().is_some() {
-                        self.world.new_string(&s)
+                        self.world.new_string(&s)?
                     } else {
                         recv
                     }
                 }
                 None => {
                     let s = print_oop(self.world, recv, PrintDepth::default())?;
-                    self.world.new_string(&s)
+                    self.world.new_string(&s)?
                 }
             },
             ADD_INDEXED => {
@@ -960,7 +960,7 @@ impl<'w, W: OpalWorld> Interpreter<'w, W> {
                     got: format!("{recv:?}"),
                 })?;
                 let n = self.world.sym_name(self.world.class_name_of(class));
-                self.world.new_string(&n)
+                self.world.new_string(&n)?
             }
             COMPILE | COMPILE_CLASS_METHOD => {
                 let class = recv.as_class().ok_or_else(|| GemError::TypeMismatch {

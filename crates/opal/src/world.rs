@@ -92,7 +92,7 @@ pub trait OpalWorld {
 
     // ---- objects
     fn new_object(&mut self, class: ClassId) -> GemResult<Oop>;
-    fn new_string(&mut self, s: &str) -> Oop;
+    fn new_string(&mut self, s: &str) -> GemResult<Oop>;
     /// Text of a String or Symbol.
     fn string_value(&self, oop: Oop) -> Option<String>;
     fn get_elem(&mut self, obj: Oop, name: ElemName) -> GemResult<Oop>;
@@ -344,12 +344,12 @@ impl OpalWorld for BasicWorld {
         Ok(self.workspace.alloc(obj))
     }
 
-    fn new_string(&mut self, s: &str) -> Oop {
-        self.workspace.alloc(HeapObject::new_bytes(
+    fn new_string(&mut self, s: &str) -> GemResult<Oop> {
+        Ok(self.workspace.alloc(HeapObject::new_bytes(
             self.kernel.string,
             SegmentId::SYSTEM,
             s.as_bytes().to_vec(),
-        ))
+        )))
     }
 
     fn string_value(&self, oop: Oop) -> Option<String> {

@@ -113,7 +113,7 @@ impl OpalWorld for CountingWorld {
         self.writes += 1;
         self.inner.new_object(class)
     }
-    fn new_string(&mut self, s: &str) -> Oop {
+    fn new_string(&mut self, s: &str) -> GemResult<Oop> {
         self.writes += 1;
         self.inner.new_string(s)
     }

@@ -76,3 +76,31 @@ fn dba_bypasses_segment_checks() {
     dba.commit().unwrap();
     assert!(dba.run("S at: #x put: 1").is_ok());
 }
+
+#[test]
+fn segment_move_reaches_a_session_that_cached_the_object() {
+    let gs = GemStone::in_memory();
+    gs.create_user("ellen");
+    let mut dba = gs.login("system").unwrap();
+    let mut seg = SegmentId(0);
+    gs.database().with_auth(|auth| seg = auth.create_segment());
+    dba.run("Memo := Dictionary new. Memo at: #text put: 7").unwrap();
+    dba.commit().unwrap();
+
+    // Ellen reads the memo while it is world-readable and keeps her copy.
+    let mut ellen = gs.login("ellen").unwrap();
+    assert_eq!(ellen.run("Memo at: #text").unwrap().as_int(), Some(7));
+    ellen.commit().unwrap();
+
+    // The DBA moves it — and nothing else — to a segment she cannot read.
+    let before = dba.run("System currentTime").unwrap().as_int();
+    let memo = dba.run("Memo").unwrap();
+    dba.set_segment(memo, seg).unwrap();
+    dba.commit().unwrap();
+    let after = dba.run("System currentTime").unwrap().as_int();
+    assert!(after > before, "a segment-only commit consumes a transaction time");
+
+    // Her next transaction — no abort, no fresh login — is refused.
+    let err = ellen.run("Memo at: #text");
+    assert!(matches!(err, Err(GemError::AuthorizationDenied { .. })), "{err:?}");
+}

@@ -35,6 +35,11 @@ fn build_company(s: &mut Session) -> Query {
     )
     .expect("populate");
     s.commit().expect("commit");
+    company_query(s)
+}
+
+/// The Employees ⋈ Departments query, bound to `s`'s workspace.
+fn company_query(s: &mut Session) -> Query {
     let e_sym = s.intern("Employees");
     let d_sym = s.intern("Departments");
     let e = s.get_global(e_sym).expect("Employees");
@@ -187,9 +192,13 @@ fn doctor_bundle_validates_cache_model_and_heat() {
     let q = build_company(&mut s);
     s.query(&q).unwrap();
     s.commit().unwrap();
-    // Force re-reads through the small track cache.
+    drop(s);
+    // Force re-reads through the small track cache: evict every object,
+    // then fault the company back in from a session with nothing cached.
     gs.database().set_object_cache_limit(Some(0));
     gs.database().set_object_cache_limit(None);
+    let mut s = gs.login("system").unwrap();
+    let q = company_query(&mut s);
     s.query(&q).unwrap();
     s.commit().unwrap();
     drop(s);

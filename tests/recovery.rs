@@ -172,10 +172,11 @@ fn replicated_database_survives_primary_loss() {
         disk.replica_mut(0).fail_after_writes(0);
         let _ = disk.replica_mut(0).write_track(gemstone::TrackId(500), b"x");
     });
-    // Force refaulting from disk (mirror) by bounding the object cache.
+    // Force refaulting from disk (mirror): evict every object and drop
+    // the session's cached copies.
     gs.database().set_object_cache_limit(Some(0));
     gs.database().set_object_cache_limit(None);
-    s.commit().unwrap();
+    s.abort();
     let v = s.run("D at: #v").unwrap();
     assert_eq!(v.as_int(), Some(42), "mirror serves reads after primary loss");
     // Writes still succeed (degraded).
