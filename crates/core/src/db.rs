@@ -64,28 +64,48 @@ pub(crate) struct Schema {
     /// key sketches, per-predicate observed selectivities. Maintained under
     /// the commit choke point, persisted in [`meta::META_STATS`].
     pub stats: StatsCatalog,
-    /// Schema (classes/symbols/methods/globals/directories) changed since
-    /// the last commit and must be flushed with it.
+    /// Schema (classes/methods/directories/users) changed since the last
+    /// commit and must be flushed with it.
     pub schema_dirty: bool,
     /// The statistics catalog changed since the last metadata flush.
     /// Tracked separately from `schema_dirty` so routine stats refreshes
     /// don't masquerade as DDL.
     pub stats_dirty: bool,
+    /// Symbols in the last flushed symbol table. The table only grows, and
+    /// any statement may grow it (a new global or element name), so it is
+    /// flushed whenever it is longer than this.
+    pub symbols_flushed: usize,
 }
 
 impl Schema {
-    /// Stage all metadata blobs in the store (called under the commit lock
-    /// just before a commit when the schema changed, so the metadata lands
-    /// in the same safe-write group as the data).
-    pub fn flush_meta(&mut self, store: &PermanentStore, globals: &HashMap<SymbolId, PRef>) {
-        store.set_meta(meta::META_SYMBOLS, meta::put_symbols(&self.symbols));
-        store.set_meta(meta::META_CLASSES, meta::put_classes(&self.classes));
-        store.set_meta(meta::META_GLOBALS, meta::put_globals(globals));
-        store.set_meta(meta::META_METHODS, meta::put_method_sources(&self.method_sources));
-        store.set_meta(meta::META_DIRS, meta::put_dir_specs(&self.dirs.spec_records()));
-        store.set_meta(meta::META_STATS, meta::put_stats(&self.stats));
-        self.schema_dirty = false;
-        self.stats_dirty = false;
+    /// Stage the metadata blobs that changed since the last flush — the
+    /// symbol table if it grew, the class/method/directory blobs after a
+    /// schema edit, the statistics after a refresh, and `globals` when the
+    /// commit rebinds a global. Called under the commit lock just before a
+    /// commit, so the metadata lands in the same safe-write group as the
+    /// data.
+    pub fn flush_meta(
+        &mut self,
+        store: &PermanentStore,
+        globals: Option<&HashMap<SymbolId, PRef>>,
+    ) {
+        if self.symbols.len() != self.symbols_flushed {
+            store.set_meta(meta::META_SYMBOLS, meta::put_symbols(&self.symbols));
+            self.symbols_flushed = self.symbols.len();
+        }
+        if self.schema_dirty {
+            store.set_meta(meta::META_CLASSES, meta::put_classes(&self.classes));
+            store.set_meta(meta::META_METHODS, meta::put_method_sources(&self.method_sources));
+            store.set_meta(meta::META_DIRS, meta::put_dir_specs(&self.dirs.spec_records()));
+            self.schema_dirty = false;
+        }
+        if self.stats_dirty {
+            store.set_meta(meta::META_STATS, meta::put_stats(&self.stats));
+            self.stats_dirty = false;
+        }
+        if let Some(globals) = globals {
+            store.set_meta(meta::META_GLOBALS, meta::put_globals(globals));
+        }
     }
 }
 
@@ -231,6 +251,7 @@ fn bind_layer_metrics(telemetry: &Telemetry, store: &PermanentStore, txns: &Tran
     r.gauge("storage.recovery.epoch").set(rep.recovered_epoch as i64);
     r.gauge("storage.recovery.tracks_salvaged").set(rep.tracks_salvaged as i64);
     r.gauge("storage.recovery.tracks_discarded").set(rep.tracks_discarded as i64);
+    r.gauge("storage.recovery.log_records").set(rep.log_records as i64);
     r.gauge("storage.recovery.reopen_reads").set(rep.reopen_reads as i64);
     // Pre-create the session-level instruments (sessions bind the same
     // cells at login), so a journal baseline emitted at construction time
@@ -376,6 +397,7 @@ impl Database {
             stats: StatsCatalog::default(),
             schema_dirty: true,
             stats_dirty: false,
+            symbols_flushed: 0,
         };
         let mut txns = TransactionManager::new(TxnTime::EPOCH);
         bind_layer_metrics(&telemetry, &store, &txns);
@@ -414,7 +436,7 @@ impl Database {
         {
             let _commit = db.commit_lock.lock();
             let globals = db.committed.read().globals.clone();
-            db.schema.write().flush_meta(&db.store, &globals);
+            db.schema.write().flush_meta(&db.store, Some(&globals));
             let t = db.txns.now();
             db.store.commit_batch(t, &[])?;
             *db.committed.write() = Arc::new(CommittedView::initial(t, globals));
@@ -499,6 +521,7 @@ impl Database {
         let last = store.root().commit_time;
         let dirs = DirRegistry::rebuild(&store, &symbols, &dir_specs, last)?;
         let schema = Schema {
+            symbols_flushed: symbols.len(),
             symbols,
             classes,
             kernel,
@@ -521,6 +544,7 @@ impl Database {
                 epoch: rep.recovered_epoch,
                 tracks_salvaged: rep.tracks_salvaged as u64,
                 tracks_discarded: rep.tracks_discarded as u64,
+                log_records: rep.log_records as u64,
                 reopen_reads: rep.reopen_reads,
             });
             telemetry.journal.emit_baseline(&telemetry.registry.snapshot());
@@ -606,8 +630,8 @@ impl Database {
 
     /// What the reopening that produced this database saw and decided:
     /// roots probed/valid/torn, the winning epoch, tracks salvaged and
-    /// discarded, physical reads. All-default for a freshly created
-    /// database, which performed no recovery.
+    /// discarded, catalog records walked, physical reads. All-default for
+    /// a freshly created database, which performed no recovery.
     pub fn recovery_report(&self) -> gemstone_storage::RecoveryReport {
         self.store.recovery_report()
     }

@@ -651,12 +651,8 @@ impl Session {
         let mut stats_updates = Vec::new();
         {
             let mut schema = self.db.schema.write();
-            if schema.schema_dirty
-                || schema.stats_dirty
-                || !Arc::ptr_eq(&globals, &committed.globals)
-            {
-                schema.flush_meta(&self.db.store, &globals);
-            }
+            let rebound = !Arc::ptr_eq(&globals, &committed.globals);
+            schema.flush_meta(&self.db.store, rebound.then_some(&*globals));
             phases = match self.db.store.commit_batch_traced(
                 store_time,
                 &deltas,

@@ -1,7 +1,7 @@
 //! The Boxer: "whose job it is to fit objects into tracks after database
 //! changes" (§6).
 //!
-//! Every commit batch is packed into one *extent*: the serialized images are
+//! Every commit group is packed into one *extent*: the serialized blobs are
 //! concatenated and split across a run of consecutive fresh tracks. Objects
 //! committed together therefore share tracks — commit-time clustering, the
 //! basis of the "physical access paths parallel logical access" claim
@@ -12,44 +12,45 @@
 use crate::disk::TrackId;
 use crate::format::Location;
 
-/// Pack `blobs` into an extent starting at `first_track`, with
-/// `track_payload` usable bytes per track. Returns the per-blob locations
-/// and the `(track, payload)` writes to hand to the Commit Manager.
-pub fn pack(
-    blobs: &[Vec<u8>],
+/// One extent under construction. Blobs are appended in order, each placed
+/// right after the previous one, so a blob's location is known the
+/// moment it is pushed — a later blob (the catalog record) can name the
+/// earlier ones.
+#[derive(Debug)]
+pub struct Extent {
     first_track: u32,
     track_payload: usize,
-) -> (Vec<Location>, Vec<(TrackId, Vec<u8>)>) {
-    assert!(track_payload > 0);
-    let total: usize = blobs.iter().map(Vec::len).sum();
-    let n_tracks = total.div_ceil(track_payload).max(1) as u32;
+    stream: Vec<u8>,
+}
 
-    let mut locations = Vec::with_capacity(blobs.len());
-    let mut offset = 0usize;
-    for blob in blobs {
-        locations.push(Location {
-            extent_first: TrackId(first_track),
-            extent_len: n_tracks,
-            offset: offset as u32,
+impl Extent {
+    /// An empty extent starting at `first_track`, with `track_payload`
+    /// usable bytes per track.
+    pub fn new(first_track: u32, track_payload: usize) -> Extent {
+        assert!(track_payload > 0);
+        Extent { first_track, track_payload, stream: Vec::new() }
+    }
+
+    /// Append `blob`, returning where it will live.
+    pub fn push(&mut self, blob: &[u8]) -> Location {
+        let loc = Location {
+            extent_first: TrackId(self.first_track),
+            offset: self.stream.len() as u32,
             len: blob.len() as u32,
-        });
-        offset += blob.len();
+        };
+        self.stream.extend_from_slice(blob);
+        loc
     }
 
-    let mut stream = Vec::with_capacity(total);
-    for blob in blobs {
-        stream.extend_from_slice(blob);
+    /// The `(track, payload)` writes to hand to the Commit Manager: one per
+    /// track the pushed bytes cover, none for an empty extent.
+    pub fn into_writes(self) -> Vec<(TrackId, Vec<u8>)> {
+        self.stream
+            .chunks(self.track_payload)
+            .enumerate()
+            .map(|(i, chunk)| (TrackId(self.first_track + i as u32), chunk.to_vec()))
+            .collect()
     }
-    let mut writes = Vec::with_capacity(n_tracks as usize);
-    for (i, chunk) in stream.chunks(track_payload).enumerate() {
-        writes.push((TrackId(first_track + i as u32), chunk.to_vec()));
-    }
-    if writes.is_empty() {
-        // An empty batch still materializes one (empty) track so the extent
-        // exists and the allocator advances deterministically.
-        writes.push((TrackId(first_track), Vec::new()));
-    }
-    (locations, writes)
 }
 
 /// The tracks of an extent that cover a blob at `loc`, with the byte range
@@ -60,7 +61,6 @@ pub fn covering_tracks(loc: &Location, track_payload: usize) -> Vec<(TrackId, us
     let mut pos = loc.offset as usize;
     while remaining > 0 {
         let track_index = pos / track_payload;
-        debug_assert!((track_index as u32) < loc.extent_len, "blob escapes its extent");
         let within = pos % track_payload;
         let take = remaining.min(track_payload - within);
         out.push((TrackId(loc.extent_first.0 + track_index as u32), within, take));
@@ -74,6 +74,16 @@ pub fn covering_tracks(loc: &Location, track_payload: usize) -> Vec<(TrackId, us
 mod tests {
     use super::*;
 
+    fn pack(
+        blobs: &[Vec<u8>],
+        first_track: u32,
+        payload: usize,
+    ) -> (Vec<Location>, Vec<(TrackId, Vec<u8>)>) {
+        let mut extent = Extent::new(first_track, payload);
+        let locs = blobs.iter().map(|b| extent.push(b)).collect();
+        (locs, extent.into_writes())
+    }
+
     #[test]
     fn small_blobs_share_one_track() {
         let blobs = vec![vec![1u8; 10], vec![2u8; 20], vec![3u8; 5]];
@@ -83,7 +93,7 @@ mod tests {
         assert_eq!(locs[0].offset, 0);
         assert_eq!(locs[1].offset, 10);
         assert_eq!(locs[2].offset, 30);
-        assert!(locs.iter().all(|l| l.extent_first == TrackId(100) && l.extent_len == 1));
+        assert!(locs.iter().all(|l| l.extent_first == TrackId(100)));
     }
 
     #[test]
@@ -91,7 +101,6 @@ mod tests {
         let blobs = vec![vec![7u8; 150]];
         let (locs, writes) = pack(&blobs, 5, 64);
         assert_eq!(writes.len(), 3, "150 bytes need 3×64-byte tracks");
-        assert_eq!(locs[0].extent_len, 3);
         let cover = covering_tracks(&locs[0], 64);
         assert_eq!(cover, vec![(TrackId(5), 0, 64), (TrackId(6), 0, 64), (TrackId(7), 0, 22)]);
     }
@@ -122,10 +131,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_batch_still_makes_an_extent() {
+    fn empty_extent_writes_nothing() {
         let (locs, writes) = pack(&[], 3, 64);
         assert!(locs.is_empty());
-        assert_eq!(writes.len(), 1);
+        assert!(writes.is_empty(), "no empty track is ever materialised");
     }
 
     #[test]

@@ -105,9 +105,10 @@ pub fn safe_write_group(
 /// were valid or torn, the epoch that won, and — once
 /// [`PermanentStore::open`](crate::PermanentStore::open) finishes — how many
 /// tracks were salvaged (read and checksum-verified) versus discarded
-/// (orphan shadow tracks of a torn commit), and how many physical reads the
-/// reopening cost. Surfaced through `Db`/`Session` so recovery behaviour is
-/// observable and assertable.
+/// (orphan shadow tracks of a torn commit), how many catalog records the
+/// location log replayed, and how many physical reads the reopening cost.
+/// Surfaced through `Db`/`Session` so recovery behaviour is observable
+/// and assertable.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Root slots probed (always the two alternating root tracks).
@@ -118,8 +119,12 @@ pub struct RecoveryReport {
     pub roots_torn: u32,
     /// The epoch of the root that won.
     pub recovered_epoch: u64,
-    /// Tracks read and checksum-verified while loading catalog + GOOP table.
+    /// Tracks read and checksum-verified while loading the catalog chain +
+    /// GOOP table.
     pub tracks_salvaged: u32,
+    /// Catalog records walked: the newest one back to the last page-out,
+    /// both included.
+    pub log_records: u32,
     /// Orphan tracks past the recovered root's allocation frontier —
     /// shadow writes of a commit that never became visible.
     pub tracks_discarded: u32,
@@ -190,12 +195,7 @@ mod tests {
             commit_time: TxnTime::from_ticks(epoch),
             next_goop: 1,
             next_track: FIRST_DATA_TRACK + epoch as u32 * 4,
-            catalog: Location {
-                extent_first: TrackId(FIRST_DATA_TRACK),
-                extent_len: 1,
-                offset: 0,
-                len: 0,
-            },
+            catalog: Location { extent_first: TrackId(FIRST_DATA_TRACK), offset: 0, len: 0 },
         }
     }
 

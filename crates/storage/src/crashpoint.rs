@@ -33,6 +33,7 @@
 //!
 //! [`RecoveryReport`]: crate::commit::RecoveryReport
 
+use crate::commit::RecoveryReport;
 use crate::disk::{DiskArray, FaultPlan, ReadFault, TearClass};
 use crate::format;
 use crate::pobj::ObjectDelta;
@@ -298,6 +299,10 @@ pub struct MatrixReport {
     pub recovery_crash_points: u64,
     /// Times a volume was reopened through the recovery path.
     pub reopenings: u64,
+    /// The most catalog records one successful recovery walked: ≥ 2 means
+    /// some recovery replayed the location log, fewer than `commits` that
+    /// a page-out cut it short.
+    pub max_log_records: u32,
     /// Invariant violations: (schedule token, what failed). Empty = the
     /// protocol held at every enumerated crash point.
     pub violations: Vec<(String, String)>,
@@ -379,9 +384,9 @@ fn profile(w: &Workload, backend: &MatrixBackend) -> Result<Profile, String> {
 
 /// Execute one crash schedule against a checkpointed platter and check
 /// every invariant. `base` must be the disk after `s.commit` commits;
-/// `pre`/`post` the images around that commit. Returns the number of
-/// track reads the successful recovery performed (used to enumerate
-/// crash-during-recovery points), or a violation description.
+/// `pre`/`post` the images around that commit. Returns the successful
+/// recovery's report (its read count enumerates the crash-during-recovery
+/// points), or a violation description.
 fn check_schedule(
     w: &Workload,
     s: &CrashSchedule,
@@ -390,7 +395,7 @@ fn check_schedule(
     post: &StateImage,
     write_count: u32,
     reopenings: &mut u64,
-) -> Result<u64, String> {
+) -> Result<RecoveryReport, String> {
     let k = s.commit as usize;
     let keys = w.meta_keys();
 
@@ -506,7 +511,7 @@ fn check_schedule(
             return Err(format!("retried commit diverged from clean run: {vs}"));
         }
     }
-    Ok(rep.reopen_reads)
+    Ok(rep)
 }
 
 /// Enumerate the full crash matrix for a workload: every write of every
@@ -575,9 +580,10 @@ pub fn enumerate_matrix_on(
                 let s = CrashSchedule { commit: k as u32, write, tear, recovery_read: None };
                 report.commit_crash_points += 1;
                 match check_schedule(w, &s, base, pre, post, wc, &mut report.reopenings) {
-                    Ok(reads) => {
+                    Ok(rep) => {
+                        report.max_log_records = report.max_log_records.max(rep.log_records);
                         if write == wc - 1 && tear == TearClass::Half {
-                            recovery_reads = reads;
+                            recovery_reads = rep.reopen_reads;
                         }
                     }
                     Err(v) => report.violations.push((s.to_string(), v)),

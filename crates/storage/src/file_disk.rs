@@ -53,8 +53,10 @@ use crate::disk::{
 /// File magic: identifies a GemStone track file, format 1.
 const MAGIC: &[u8; 8] = b"GEMFILE1";
 
-/// On-disk format version (bumped on incompatible layout changes).
-const FORMAT_VERSION: u32 = 1;
+/// On-disk format version (bumped on incompatible layout changes). v2:
+/// one extent per commit group, ending in a catalog record that logs the
+/// commit's location changes (see `store`).
+const FORMAT_VERSION: u32 = 2;
 
 /// Preallocation granularity: growing the file extends it by this many
 /// track slots at once, so steady-state appends never change file length
@@ -649,10 +651,16 @@ mod tests {
         let mut lying = Vec::from(*MAGIC);
         lying.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         lying.extend_from_slice(&u32::MAX.to_le_bytes());
+        // A volume written before the location log: same magic, version 1.
+        let mut v1 = Vec::from(*MAGIC);
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&256u32.to_le_bytes());
+        v1.resize(4 * 256, 0);
         for (name, bytes, want) in [
             ("notdb", &b"definitely not a track file, padded out to header size"[..], "bad magic"),
             ("short", &MAGIC[..], "read header"),
             ("lying", &lying[..], "track size 4294967295 in a 16-byte file"),
+            ("v1", &v1[..], "unsupported track-file format v1 (expected v2)"),
         ] {
             let path = s.file(name);
             std::fs::write(&path, bytes).unwrap();

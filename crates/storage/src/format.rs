@@ -1,9 +1,11 @@
 //! The on-disk serialization format.
 //!
 //! Everything the store persists — object images ("elements and
-//! associations", §6), the GOOP table pages, the catalog, and the root
-//! record — round-trips through the functions here. The format is little
-//! endian and versioned by a magic word in the root.
+//! associations", §6), the GOOP table pages, the catalog records, and the
+//! root record — round-trips through the functions here. The format is
+//! little endian and versioned by a magic word in the root. Every decoder
+//! treats its input as untrusted: a count is checked against the bytes
+//! left before anything is allocated or looped over.
 
 use crate::disk::TrackId;
 use crate::pobj::PersistentObject;
@@ -16,14 +18,20 @@ use std::collections::BTreeMap;
 pub const ROOT_MAGIC: u32 = 0x4753_1984; // "GS" 1984
 
 /// Where a serialized blob lives: a byte range within an *extent* — the run
-/// of consecutive fresh tracks a commit batch was boxed into.
+/// of consecutive fresh tracks a commit group was boxed into, counted from
+/// the extent's first track.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Location {
     pub extent_first: TrackId,
-    pub extent_len: u32,
     pub offset: u32,
     pub len: u32,
 }
+
+/// Serialized size of a [`Location`].
+const LOCATION_BYTES: usize = 12;
+
+/// Serialized size of one GOOP-table entry, in a page or a catalog log.
+const ENTRY_BYTES: usize = 8 + LOCATION_BYTES;
 
 /// The root record, written last in every safe-write group. Two root tracks
 /// alternate; the one with the highest valid epoch wins at recovery.
@@ -36,12 +44,24 @@ pub struct Root {
     pub catalog: Location,
 }
 
-/// The catalog: locations of every GOOP-table page and metadata blob
-/// (symbol table, class table, globals — serialized by the core crate).
+/// A catalog record: the last blob of every commit group, named by the
+/// root. The page and metadata maps describe the whole volume; `log` and
+/// `prev` make the records a chain — the *location log* — over the paged
+/// GOOP table: each record holds the location changes of its own commit
+/// and points at the record before it, back to the last page-out, whose
+/// record has no `prev` because its changes are in the pages.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Catalog {
+    /// The previous catalog record; `None` at a page-out.
+    pub prev: Option<Location>,
+    /// Every GOOP-table page, as of the last page-out.
     pub goop_pages: BTreeMap<u32, Location>,
+    /// Metadata blobs (symbol table, class table, globals — serialized by
+    /// the core crate).
     pub metas: BTreeMap<u8, Location>,
+    /// This commit's `(goop, image location)` changes in goop order (empty
+    /// at a page-out).
+    pub log: Vec<(u64, Location)>,
 }
 
 /// Number of GOOPs covered by one GOOP-table page.
@@ -49,6 +69,11 @@ pub const GOOP_PAGE_SPAN: u64 = 512;
 
 /// A GOOP-table page: goop → object image location.
 pub type GoopPage = BTreeMap<u64, Location>;
+
+/// Serialized size of a GOOP-table page holding `entries` entries.
+pub fn page_bytes(entries: usize) -> usize {
+    4 + entries * ENTRY_BYTES
+}
 
 // ---------------------------------------------------------------- helpers
 
@@ -60,21 +85,50 @@ fn need(buf: &[u8], n: usize) -> GemResult<()> {
     }
 }
 
+/// Read a `u32` count of items at least `each` bytes long, refusing one
+/// the remaining bytes cannot hold — a lying count fails here instead of
+/// driving a huge allocation or loop.
+fn get_count(buf: &mut &[u8], each: usize) -> GemResult<usize> {
+    need(buf, 4)?;
+    let n = buf.get_u32_le() as usize;
+    need(buf, n.saturating_mul(each))?;
+    Ok(n)
+}
+
 pub fn put_location(buf: &mut Vec<u8>, loc: &Location) {
     buf.put_u32_le(loc.extent_first.0);
-    buf.put_u32_le(loc.extent_len);
     buf.put_u32_le(loc.offset);
     buf.put_u32_le(loc.len);
 }
 
 pub fn get_location(buf: &mut &[u8]) -> GemResult<Location> {
-    need(buf, 16)?;
+    need(buf, LOCATION_BYTES)?;
     Ok(Location {
         extent_first: TrackId(buf.get_u32_le()),
-        extent_len: buf.get_u32_le(),
         offset: buf.get_u32_le(),
         len: buf.get_u32_le(),
     })
+}
+
+fn put_entries<'a>(
+    buf: &mut Vec<u8>,
+    entries: impl ExactSizeIterator<Item = (&'a u64, &'a Location)>,
+) {
+    buf.put_u32_le(entries.len() as u32);
+    for (goop, loc) in entries {
+        buf.put_u64_le(*goop);
+        put_location(buf, loc);
+    }
+}
+
+fn get_entries(buf: &mut &[u8]) -> GemResult<Vec<(u64, Location)>> {
+    let n = get_count(buf, ENTRY_BYTES)?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        let goop = buf.get_u64_le();
+        out.push((goop, get_location(buf)?));
+    }
+    Ok(out)
 }
 
 // ------------------------------------------------------------------ root
@@ -109,7 +163,17 @@ pub fn get_root(mut buf: &[u8]) -> GemResult<Root> {
 // --------------------------------------------------------------- catalog
 
 pub fn put_catalog(cat: &Catalog) -> Vec<u8> {
-    let mut buf = Vec::new();
+    let mut buf = Vec::with_capacity(
+        32 + (cat.goop_pages.len() + cat.metas.len()) * (4 + LOCATION_BYTES)
+            + cat.log.len() * ENTRY_BYTES,
+    );
+    match &cat.prev {
+        None => buf.put_u8(0),
+        Some(loc) => {
+            buf.put_u8(1);
+            put_location(&mut buf, loc);
+        }
+    }
     buf.put_u32_le(cat.goop_pages.len() as u32);
     for (page, loc) in &cat.goop_pages {
         buf.put_u32_le(*page);
@@ -120,52 +184,41 @@ pub fn put_catalog(cat: &Catalog) -> Vec<u8> {
         buf.put_u8(*key);
         put_location(&mut buf, loc);
     }
+    put_entries(&mut buf, cat.log.iter().map(|(g, l)| (g, l)));
     buf
 }
 
 pub fn get_catalog(mut buf: &[u8]) -> GemResult<Catalog> {
     let b = &mut buf;
     let mut cat = Catalog::default();
-    need(b, 4)?;
-    let n = b.get_u32_le();
-    for _ in 0..n {
-        need(b, 4)?;
+    need(b, 1)?;
+    cat.prev = match b.get_u8() {
+        0 => None,
+        1 => Some(get_location(b)?),
+        t => return Err(GemError::Corrupt(format!("bad catalog prev tag {t}"))),
+    };
+    for _ in 0..get_count(b, 4 + LOCATION_BYTES)? {
         let page = b.get_u32_le();
         cat.goop_pages.insert(page, get_location(b)?);
     }
-    need(b, 4)?;
-    let m = b.get_u32_le();
-    for _ in 0..m {
-        need(b, 1)?;
+    for _ in 0..get_count(b, 1 + LOCATION_BYTES)? {
         let key = b.get_u8();
         cat.metas.insert(key, get_location(b)?);
     }
+    cat.log = get_entries(b)?;
     Ok(cat)
 }
 
 // -------------------------------------------------------------- goop page
 
 pub fn put_goop_page(page: &GoopPage) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(4 + page.len() * 24);
-    buf.put_u32_le(page.len() as u32);
-    for (goop, loc) in page {
-        buf.put_u64_le(*goop);
-        put_location(&mut buf, loc);
-    }
+    let mut buf = Vec::with_capacity(page_bytes(page.len()));
+    put_entries(&mut buf, page.iter());
     buf
 }
 
 pub fn get_goop_page(mut buf: &[u8]) -> GemResult<GoopPage> {
-    let b = &mut buf;
-    need(b, 4)?;
-    let n = b.get_u32_le();
-    let mut page = GoopPage::new();
-    for _ in 0..n {
-        need(b, 8)?;
-        let goop = b.get_u64_le();
-        page.insert(goop, get_location(b)?);
-    }
-    Ok(page)
+    Ok(get_entries(&mut buf)?.into_iter().collect())
 }
 
 // ----------------------------------------------------------- element name
@@ -239,22 +292,18 @@ pub fn put_object(obj: &PersistentObject) -> Vec<u8> {
 /// Deserialize an object image.
 pub fn get_object(mut buf: &[u8]) -> GemResult<PersistentObject> {
     let b = &mut buf;
-    need(b, 8 + 4 + 2 + 1 + 8 + 4)?;
+    need(b, 8 + 4 + 2 + 1 + 8)?;
     let goop = Goop(b.get_u64_le());
     let class = ClassId(b.get_u32_le());
     let segment = SegmentId(b.get_u16_le());
     let flags = b.get_u8();
     let alias_next = b.get_u64_le();
-    let n_elems = b.get_u32_le();
     let mut obj = PersistentObject::new(goop, class, segment);
     obj.alias_next = alias_next;
-    for _ in 0..n_elems {
+    for _ in 0..get_count(b, 9 + 4)? {
         let name = get_elem_name(b)?;
-        need(b, 4)?;
-        let n_assoc = b.get_u32_le();
         let mut hist = History::new();
-        for _ in 0..n_assoc {
-            need(b, 16)?;
+        for _ in 0..get_count(b, 16)? {
             let time = TxnTime::from_ticks(b.get_u64_le());
             let value = PRef::from_bits(b.get_u64_le());
             hist.write_committed(time, value);
@@ -262,10 +311,8 @@ pub fn get_object(mut buf: &[u8]) -> GemResult<PersistentObject> {
         obj.elements.insert(name, hist);
     }
     if flags & FLAG_HAS_BYTES != 0 {
-        need(b, 4)?;
-        let n_assoc = b.get_u32_le();
         let mut hist: History<Box<[u8]>> = History::new();
-        for _ in 0..n_assoc {
+        for _ in 0..get_count(b, 12)? {
             need(b, 12)?;
             let time = TxnTime::from_ticks(b.get_u64_le());
             let len = b.get_u32_le() as usize;
@@ -288,8 +335,18 @@ mod tests {
         TxnTime::from_ticks(n)
     }
 
-    fn loc(a: u32, b: u32, c: u32, d: u32) -> Location {
-        Location { extent_first: TrackId(a), extent_len: b, offset: c, len: d }
+    fn loc(a: u32, c: u32, d: u32) -> Location {
+        Location { extent_first: TrackId(a), offset: c, len: d }
+    }
+
+    /// A catalog record with every section populated.
+    fn full_catalog() -> Catalog {
+        let mut cat = Catalog { prev: Some(loc(4, 30, 90)), ..Catalog::default() };
+        cat.goop_pages.insert(0, loc(5, 0, 100));
+        cat.goop_pages.insert(3, loc(9, 50, 200));
+        cat.metas.insert(1, loc(11, 0, 64));
+        cat.log = vec![(7, loc(12, 0, 40)), (519, loc(12, 40, 33))];
+        cat
     }
 
     #[test]
@@ -299,7 +356,7 @@ mod tests {
             commit_time: t(99),
             next_goop: 1000,
             next_track: 77,
-            catalog: loc(3, 2, 100, 500),
+            catalog: loc(3, 100, 500),
         };
         assert_eq!(get_root(&put_root(&root)).unwrap(), root);
     }
@@ -311,7 +368,7 @@ mod tests {
             commit_time: t(1),
             next_goop: 1,
             next_track: 1,
-            catalog: loc(0, 0, 0, 0),
+            catalog: loc(0, 0, 0),
         });
         bytes[0] ^= 0xFF;
         assert!(matches!(get_root(&bytes), Err(GemError::Corrupt(_))));
@@ -319,20 +376,40 @@ mod tests {
 
     #[test]
     fn catalog_roundtrip() {
-        let mut cat = Catalog::default();
-        cat.goop_pages.insert(0, loc(5, 1, 0, 100));
-        cat.goop_pages.insert(3, loc(9, 2, 50, 200));
-        cat.metas.insert(1, loc(11, 1, 0, 64));
+        let cat = full_catalog();
         assert_eq!(get_catalog(&put_catalog(&cat)).unwrap(), cat);
         assert_eq!(get_catalog(&put_catalog(&Catalog::default())).unwrap(), Catalog::default());
     }
 
     #[test]
+    fn truncated_or_lying_catalog_is_corrupt() {
+        let bytes = put_catalog(&full_catalog());
+        for cut in 0..bytes.len() {
+            assert!(
+                matches!(get_catalog(&bytes[..cut]), Err(GemError::Corrupt(_))),
+                "cut at {cut}"
+            );
+        }
+        // The log count is the record's last section: claim four billion
+        // entries where two follow. The decoder must refuse before it
+        // allocates for them.
+        let at = bytes.len() - 4 - 2 * ENTRY_BYTES;
+        let mut lying = bytes.clone();
+        lying[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(get_catalog(&lying), Err(GemError::Corrupt(_))));
+        let mut bad_tag = bytes;
+        bad_tag[0] = 7;
+        assert!(matches!(get_catalog(&bad_tag), Err(GemError::Corrupt(_))));
+    }
+
+    #[test]
     fn goop_page_roundtrip() {
         let mut page = GoopPage::new();
-        page.insert(7, loc(1, 1, 0, 10));
-        page.insert(519, loc(2, 1, 10, 20));
-        assert_eq!(get_goop_page(&put_goop_page(&page)).unwrap(), page);
+        page.insert(7, loc(1, 0, 10));
+        page.insert(519, loc(2, 10, 20));
+        let bytes = put_goop_page(&page);
+        assert_eq!(bytes.len(), page_bytes(2));
+        assert_eq!(get_goop_page(&bytes).unwrap(), page);
     }
 
     #[test]
@@ -427,11 +504,17 @@ mod tests {
         };
         for len in [0usize, 1, 8, 33, 257] {
             for _ in 0..50 {
-                let junk: Vec<u8> = (0..len).map(|_| next()).collect();
+                let mut junk: Vec<u8> = (0..len).map(|_| next()).collect();
                 let _ = get_object(&junk);
                 let _ = get_root(&junk);
                 let _ = get_catalog(&junk);
                 let _ = get_goop_page(&junk);
+                // A valid prev tag steers the catalog decoder past its
+                // first byte into the counted sections.
+                if let Some(b) = junk.first_mut() {
+                    *b &= 1;
+                    let _ = get_catalog(&junk);
+                }
             }
         }
     }

@@ -21,7 +21,11 @@
 //!   see [`commit`];
 //! * the **Track Manager** (scheduling/caching of track reads) — see
 //!   [`TrackCache`];
-//! * the **GOOP table** and catalog, persisted page-wise;
+//! * the **GOOP table** ("The GOOP is resolved through a global object
+//!   table"), persisted as 512-entry pages plus a *location log*: every
+//!   commit's catalog record carries the locations that commit changed and
+//!   points at the record before it, and the pages are rewritten only at a
+//!   periodic page-out — see [`PermanentStore`];
 //! * the **Directory Manager**'s history-aware index structure
 //!   ([`Directory`]) — "directories use standard techniques modified to
 //!   handle object histories";

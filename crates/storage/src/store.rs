@@ -7,6 +7,24 @@
 //! faulted in from tracks on demand and cached; the object cache can be
 //! bounded to force faulting for the LOOM comparison (C7).
 //!
+//! # The GOOP table on disk: pages plus a location log
+//!
+//! A commit group is one extent: the touched object images, any staged
+//! metadata, any page-out pages, and last a *catalog record*, whose
+//! location goes in the root. The record carries the page and metadata
+//! maps, this commit's own `(goop, location)` changes, and the location of
+//! the previous record — so the records since the last page-out form a
+//! chain, a log over the paged GOOP table. A commit therefore writes the
+//! locations it changed, not the 512-entry pages they sit on.
+//!
+//! Pages are rewritten only at a **page-out**, which happens inside an
+//! ordinary commit group once the chain's bytes (this record included)
+//! reach the serialized size of the pages the chain has dirtied: page
+//! writes never exceed the log they replace, and the log a reopening must
+//! replay never outgrows the pages. [`PermanentStore::open`] loads the
+//! pages named by the newest record, walks `prev` back to the last
+//! page-out and applies the records oldest-first.
+//!
 //! # Concurrency
 //!
 //! Every operation takes `&self`; sessions on different threads fault,
@@ -18,8 +36,9 @@
 //!   by GOOP, each holding `Arc<PersistentObject>` — a fault hands out a
 //!   cheap `Arc` clone and readers then touch no store lock at all;
 //! - the track cache is a [`ShardedTrackCache`] (lock-striped by track);
-//! - the GOOP table (`locations`) is one `RwLock` map, read per fault,
-//!   extended only at commit publish;
+//! - the GOOP table (`locations`) is one `RwLock` ordered map, read per
+//!   fault, extended only at commit publish (ordered so a page-out builds
+//!   each page from a range);
 //! - all commit-time mutable state (catalog, staged metadata, allocation
 //!   frontiers) sits behind the single `writer` mutex — commits are
 //!   serialized, which the §6 shadow-track design requires anyway (one
@@ -37,10 +56,10 @@
 //! no path holds two of these except `evict → objects-shard` during
 //! bounded-cache eviction.
 
-use crate::boxer;
+use crate::boxer::{self, Extent};
 use crate::cache::{CacheCounters, CacheStats, FillSource, ShardedTrackCache};
 use crate::commit::{self, RecoveryReport, FIRST_DATA_TRACK};
-use crate::disk::{DiskArray, DiskCounters, DiskStats, TrackDisk, TrackId, TRACK_HEADER};
+use crate::disk::{DiskArray, DiskCounters, DiskStats, TrackDisk, TRACK_HEADER};
 use crate::format::{self, Catalog, GoopPage, Location, Root, GOOP_PAGE_SPAN};
 use crate::pobj::{ObjectDelta, PersistentObject};
 use gemstone_object::{GemError, GemResult, Goop};
@@ -147,11 +166,33 @@ impl StoreCounters {
     }
 }
 
+/// The location log since the last page-out: what a reopening replays
+/// over the paged GOOP table.
+#[derive(Debug, Default)]
+struct Chain {
+    /// Serialized bytes of the catalog records since the last page-out.
+    bytes: usize,
+    /// The GOOP-table pages their location changes dirty.
+    pages: BTreeSet<u32>,
+}
+
+/// The GOOP-table page holding `goop`'s entry.
+fn page_of(goop: Goop) -> u32 {
+    (goop.0 / GOOP_PAGE_SPAN) as u32
+}
+
 /// Everything only a committing writer touches, under one mutex: the
-/// catalog and metadata staging plus both allocation frontiers.
+/// catalog, the location log and metadata staging plus both allocation
+/// frontiers.
 #[derive(Debug)]
 struct WriterState {
+    /// The newest catalog record (its page and metadata maps are carried
+    /// into the next one).
     catalog: Catalog,
+    chain: Chain,
+    /// Committed entries per GOOP-table page, so the page-out rule sizes
+    /// pages without building them.
+    page_len: HashMap<u32, usize>,
     /// Metadata blobs staged since the last commit (key → bytes).
     staged_metas: BTreeMap<u8, Vec<u8>>,
     next_goop: u64,
@@ -183,7 +224,7 @@ pub struct PermanentStore {
     /// commit): snapshot readers can only reach a GOOP through another
     /// object's state *as of their snapshot*, so they never look up an
     /// identity that did not exist at that time.
-    locations: RwLock<HashMap<Goop, Location>>,
+    locations: RwLock<BTreeMap<Goop, Location>>,
     writer: Mutex<WriterState>,
     root: RwLock<Root>,
     evict: Mutex<EvictState>,
@@ -205,11 +246,16 @@ impl PermanentStore {
     fn assemble(
         disk: DiskArray,
         cache: ShardedTrackCache,
-        locations: HashMap<Goop, Location>,
+        locations: BTreeMap<Goop, Location>,
         catalog: Catalog,
+        chain: Chain,
         root: Root,
         recovery_report: RecoveryReport,
     ) -> PermanentStore {
+        let mut page_len = HashMap::new();
+        for g in locations.keys() {
+            *page_len.entry(page_of(*g)).or_insert(0) += 1;
+        }
         PermanentStore {
             track_size: disk.track_size(),
             disk: Mutex::new(disk),
@@ -218,6 +264,8 @@ impl PermanentStore {
             locations: RwLock::new(locations),
             writer: Mutex::new(WriterState {
                 catalog,
+                chain,
+                page_len,
                 staged_metas: BTreeMap::new(),
                 next_goop: root.next_goop,
                 next_track: root.next_track,
@@ -269,54 +317,83 @@ impl PermanentStore {
     /// backend): write the initial empty commit so a valid root always
     /// exists, then assemble the store.
     pub fn create_on(mut disk: DiskArray, cache_tracks: usize) -> GemResult<PermanentStore> {
+        let mut extent = Extent::new(FIRST_DATA_TRACK, disk.track_size() - TRACK_HEADER);
+        let catalog = extent.push(&format::put_catalog(&Catalog::default()));
+        let writes = extent.into_writes();
         let root = Root {
             epoch: 1,
             commit_time: TxnTime::EPOCH,
             next_goop: 1,
-            next_track: FIRST_DATA_TRACK + 1,
-            catalog: Location {
-                extent_first: TrackId(FIRST_DATA_TRACK),
-                extent_len: 1,
-                offset: 0,
-                len: format::put_catalog(&Catalog::default()).len() as u32,
-            },
+            next_track: FIRST_DATA_TRACK + writes.len() as u32,
+            catalog,
         };
-        let cat_blob = format::put_catalog(&Catalog::default());
-        commit::safe_write_group(&mut disk, &[(TrackId(FIRST_DATA_TRACK), cat_blob)], &root)?;
+        commit::safe_write_group(&mut disk, &writes, &root)?;
         Ok(PermanentStore::assemble(
             disk,
             ShardedTrackCache::new(cache_tracks),
-            HashMap::new(),
+            BTreeMap::new(),
             Catalog::default(),
+            Chain::default(),
             root,
             RecoveryReport::default(),
         ))
     }
 
     /// Open an existing volume: recovery. Reads the newest valid root,
-    /// loads the catalog and the GOOP table; objects fault in lazily. The
-    /// whole pass is read-only, so a crash *during* recovery leaves the
-    /// volume untouched and a retry sees the identical state. What was
-    /// seen and decided is recorded in [`PermanentStore::recovery_report`].
+    /// then the GOOP table — the pages the newest catalog record names,
+    /// with the location log replayed over them — and the catalog; objects
+    /// fault in lazily. The whole pass is read-only, so a crash *during*
+    /// recovery leaves the volume untouched and a retry sees the identical
+    /// state. What was seen and decided is recorded in
+    /// [`PermanentStore::recovery_report`].
     pub fn open(mut disk: DiskArray, cache_tracks: usize) -> GemResult<PermanentStore> {
         let reads_before = disk.stats().track_reads;
         let (root, mut report) = commit::recover_root_report(&mut disk)?;
         let root_reads = disk.stats().track_reads - reads_before;
         let cache = ShardedTrackCache::new(cache_tracks);
         let payload = disk.track_size() - TRACK_HEADER;
-        let cat_bytes = read_blob_with(&mut disk, &cache, &root.catalog, payload)?;
-        let catalog = format::get_catalog(&cat_bytes)?;
-        let mut locations = HashMap::new();
-        for loc in catalog.goop_pages.values() {
+        // Walk the log from the newest catalog record back to the last
+        // page-out. Shadow allocation only moves forward, so every `prev`
+        // lies on an earlier track than its successor; insisting on that
+        // makes the walk terminate even over a corrupt chain.
+        let mut records: Vec<(Location, Catalog)> = Vec::new(); // newest first
+        let mut at = root.catalog;
+        loop {
+            let record = format::get_catalog(&read_blob_with(&mut disk, &cache, &at, payload)?)?;
+            let prev = record.prev;
+            records.push((at, record));
+            match prev {
+                None => break,
+                Some(p) if p.extent_first < at.extent_first => at = p,
+                Some(p) => {
+                    return Err(GemError::Corrupt(format!(
+                        "catalog record on track {} names its predecessor on track {}",
+                        at.extent_first.0, p.extent_first.0
+                    )))
+                }
+            }
+        }
+        let mut locations = BTreeMap::new();
+        for loc in records[0].1.goop_pages.values() {
             let page_bytes = read_blob_with(&mut disk, &cache, loc, payload)?;
             for (goop, l) in format::get_goop_page(&page_bytes)? {
                 locations.insert(Goop(goop), l);
             }
         }
+        let mut chain = Chain::default();
+        for (at, record) in records.iter().rev().filter(|(_, r)| r.prev.is_some()) {
+            chain.bytes += at.len as usize;
+            for &(goop, l) in &record.log {
+                chain.pages.insert(page_of(Goop(goop)));
+                locations.insert(Goop(goop), l);
+            }
+        }
+        report.log_records = records.len() as u32;
         report.reopen_reads = disk.stats().track_reads - reads_before;
         report.tracks_salvaged = (report.reopen_reads - root_reads) as u32 + report.roots_valid;
         report.tracks_discarded = disk.tracks_beyond(root.next_track);
-        Ok(PermanentStore::assemble(disk, cache, locations, catalog, root, report))
+        let catalog = records.swap_remove(0).1;
+        Ok(PermanentStore::assemble(disk, cache, locations, catalog, chain, root, report))
     }
 
     /// Tear down to the raw disk (crash/recovery tests re-open it).
@@ -511,77 +588,76 @@ impl PermanentStore {
         session: u64,
         parent: u64,
     ) -> GemResult<CommitPhases> {
-        let payload = self.track_size - TRACK_HEADER;
+        // 2. Boxer: the whole group is one extent — object images, staged
+        //    metadata, any page-out pages, and last the catalog record the
+        //    root names. Metadata is *borrowed*, not drained: a failed safe
+        //    write must leave it staged for the next attempt.
+        let last = self.root();
+        let mut extent = Extent::new(w.next_track, self.track_size - TRACK_HEADER);
+        let new_locs: BTreeMap<Goop, Location> =
+            touched.iter().map(|g| (*g, extent.push(&format::put_object(&images[g])))).collect();
+        let mut catalog = Catalog {
+            prev: Some(last.catalog),
+            goop_pages: w.catalog.goop_pages.clone(),
+            metas: w.catalog.metas.clone(),
+            log: new_locs.iter().map(|(g, l)| (g.0, *l)).collect(),
+        };
+        for (key, bytes) in &w.staged_metas {
+            catalog.metas.insert(*key, extent.push(bytes));
+        }
 
-        // 2. Boxer: serialize touched objects into extent A.
-        let blobs: Vec<Vec<u8>> = touched.iter().map(|g| format::put_object(&images[g])).collect();
-        let (obj_locs, writes_a) = boxer::pack(&blobs, w.next_track, payload);
-        let track_after_a = w.next_track + writes_a.len() as u32;
-        let new_locs: HashMap<Goop, Location> =
-            touched.iter().copied().zip(obj_locs.iter().copied()).collect();
-
-        // 3. Rewrite dirty GOOP-table pages into extent B (with staged
-        //    metadata blobs). The page set is ordered so a replayed commit
+        // 3. The location log: the record carries this commit's location
+        //    changes and points at the previous record — unless the chain,
+        //    this record included, has reached the size of the pages it
+        //    dirties, in which case those pages are rewritten (merging the
+        //    published table with this commit's locations; the shared table
+        //    is not touched until publish) and a new chain starts. Every
+        //    input to the rule is persisted state, so a replayed commit
         //    produces a byte-identical group — the crash matrix depends on
-        //    write index k meaning the same write on every run. Pages merge
-        //    the published table with this commit's fresh locations; the
-        //    shared table itself is not touched until publish.
-        let dirty_pages: BTreeSet<u32> =
-            touched.iter().map(|g| (g.0 / GOOP_PAGE_SPAN) as u32).collect();
-        let mut page_blobs: Vec<(u32, Vec<u8>)> = Vec::new();
-        {
+        //    write index k meaning the same write on every run.
+        let touched_pages: BTreeSet<u32> = touched.iter().map(|g| page_of(*g)).collect();
+        let mut record = format::put_catalog(&catalog);
+        let paged_out = {
             let committed = self.locations.read();
-            for &page_no in &dirty_pages {
-                let lo = page_no as u64 * GOOP_PAGE_SPAN;
-                let hi = lo + GOOP_PAGE_SPAN;
-                let mut page: GoopPage = committed
-                    .iter()
-                    .filter(|(g, _)| (lo..hi).contains(&g.0))
-                    .map(|(g, l)| (g.0, *l))
-                    .collect();
-                page.extend(
-                    new_locs
-                        .iter()
-                        .filter(|(g, _)| (lo..hi).contains(&g.0))
-                        .map(|(g, l)| (g.0, *l)),
-                );
-                page_blobs.push((page_no, format::put_goop_page(&page)));
+            let mut dirty: BTreeMap<u32, usize> = w
+                .chain
+                .pages
+                .union(&touched_pages)
+                .map(|&p| (p, w.page_len.get(&p).copied().unwrap_or(0)))
+                .collect();
+            for g in new_locs.keys().filter(|g| !committed.contains_key(g)) {
+                *dirty.entry(page_of(*g)).or_default() += 1;
             }
-        }
-        // Metadata is *borrowed*, not drained: a failed safe write must
-        // leave it staged for the next attempt.
-        let metas: Vec<(u8, &Vec<u8>)> = w.staged_metas.iter().map(|(k, b)| (*k, b)).collect();
-        let b_blobs: Vec<Vec<u8>> = page_blobs
-            .iter()
-            .map(|(_, b)| b.clone())
-            .chain(metas.iter().map(|(_, b)| (*b).clone()))
-            .collect();
-        let (b_locs, writes_b) = boxer::pack(&b_blobs, track_after_a, payload);
-        let track_after_b = track_after_a + writes_b.len() as u32;
-        let mut new_catalog = w.catalog.clone();
-        for ((page_no, _), loc) in page_blobs.iter().zip(&b_locs) {
-            new_catalog.goop_pages.insert(*page_no, *loc);
-        }
-        for ((key, _), loc) in metas.iter().zip(&b_locs[page_blobs.len()..]) {
-            new_catalog.metas.insert(*key, *loc);
-        }
+            let page_bytes: usize = dirty.values().map(|&n| format::page_bytes(n)).sum();
+            let page_out = w.chain.bytes + record.len() >= page_bytes;
+            if page_out {
+                for &p in dirty.keys() {
+                    let lo = Goop(p as u64 * GOOP_PAGE_SPAN);
+                    let hi = Goop(lo.0 + GOOP_PAGE_SPAN);
+                    let mut page: GoopPage =
+                        committed.range(lo..hi).map(|(g, l)| (g.0, *l)).collect();
+                    page.extend(new_locs.range(lo..hi).map(|(g, l)| (g.0, *l)));
+                    catalog.goop_pages.insert(p, extent.push(&format::put_goop_page(&page)));
+                }
+                catalog.prev = None;
+                catalog.log.clear();
+                record = format::put_catalog(&catalog);
+            }
+            page_out
+        };
+        let record_len = record.len();
+        let catalog_at = extent.push(&record);
+        let group = extent.into_writes();
+        let next_track = w.next_track + group.len() as u32;
 
-        // 4. Catalog into extent C.
-        let cat_blob = format::put_catalog(&new_catalog);
-        let (cat_locs, writes_c) = boxer::pack(&[cat_blob], track_after_b, payload);
-        let track_after_c = track_after_b + writes_c.len() as u32;
-
-        // 5. Commit Manager: safe-write the whole group, then flip the root.
+        // 4. Commit Manager: safe-write the whole group, then flip the root.
         let new_root = Root {
-            epoch: self.root.read().epoch + 1,
+            epoch: last.epoch + 1,
             commit_time: time,
             next_goop: w.next_goop,
-            next_track: track_after_c,
-            catalog: cat_locs[0],
+            next_track,
+            catalog: catalog_at,
         };
-        let mut group = writes_a;
-        group.extend(writes_b);
-        group.extend(writes_c);
         let span = self
             .tracer
             .as_ref()
@@ -614,19 +690,32 @@ impl PermanentStore {
             self.cache.put_from(track, payload_bytes, FillSource::CommitWrite);
         }
 
-        // 6. Success: publish. New images become the committed ones, the
-        //    GOOP table and root advance, staged metadata is consumed.
-        //    Readers that already hold old `Arc`s keep them — that is the
-        //    snapshot they asked for.
+        // 5. Success: publish. New images become the committed ones, the
+        //    GOOP table, location log and root advance, staged metadata is
+        //    consumed. Readers that already hold old `Arc`s keep them —
+        //    that is the snapshot they asked for.
         let mut fresh_residents: Vec<Goop> = Vec::new();
         for (g, obj) in images {
             if self.shard(g).write().insert(g, Arc::new(obj)).is_none() {
                 fresh_residents.push(g);
             }
         }
-        self.locations.write().extend(new_locs);
-        w.catalog = new_catalog;
-        w.next_track = track_after_c;
+        {
+            let mut locations = self.locations.write();
+            for (g, l) in new_locs {
+                if locations.insert(g, l).is_none() {
+                    *w.page_len.entry(page_of(g)).or_insert(0) += 1;
+                }
+            }
+        }
+        if paged_out {
+            w.chain = Chain::default();
+        } else {
+            w.chain.bytes += record_len;
+            w.chain.pages.extend(touched_pages);
+        }
+        w.catalog = catalog;
+        w.next_track = next_track;
         w.staged_metas.clear();
         *self.root.write() = new_root;
         self.stats.commits.inc();
@@ -780,9 +869,7 @@ impl PermanentStore {
 
     /// Iterate every committed identity (directory rebuild at recovery).
     pub fn all_goops(&self) -> Vec<Goop> {
-        let mut v: Vec<Goop> = self.locations.read().keys().copied().collect();
-        v.sort();
-        v
+        self.locations.read().keys().copied().collect()
     }
 
     /// Record a newly installed resident and enforce the bound, keeping
@@ -861,6 +948,7 @@ fn read_blob_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disk::TrackId;
     use gemstone_object::{ClassId, ElemName, PRef, SegmentId};
 
     fn t(n: u64) -> TxnTime {
@@ -936,8 +1024,8 @@ mod tests {
         store
             .commit_batch(t(1), &[delta(g, vec![(ElemName::Int(1), PRef::int(1))], true)])
             .unwrap();
-        // Crash after two writes of the second commit's group.
-        store.disk_mut().replica_mut(0).fail_after_writes(2);
+        // Crash after the second commit's data track, before its root.
+        store.disk_mut().replica_mut(0).fail_after_writes(1);
         let err =
             store.commit_batch(t(2), &[delta(g, vec![(ElemName::Int(1), PRef::int(2))], false)]);
         assert!(err.is_err());
@@ -1023,7 +1111,121 @@ mod tests {
         assert_eq!(r.recovered_epoch, store2.root().epoch);
         assert!(r.reopen_reads > 0);
         assert!(r.tracks_salvaged > 0);
+        assert!(r.log_records >= 1, "at least the newest catalog record");
         assert!(r.tracks_discarded > 0, "the torn commit's shadow track is an orphan");
+    }
+
+    #[test]
+    fn a_one_object_update_costs_the_same_whatever_the_table_size() {
+        // The update's image and its catalog record share one track, then
+        // the root — with 10 committed objects and with 10,000. (Rewriting
+        // the object's 512-entry GOOP-table page instead would cost 4 tracks
+        // at 10 objects and 7 at 10,000.) The median of nine updates skips
+        // the occasional page-out.
+        let writes_per_update = |objects: usize| {
+            let store = PermanentStore::create(StoreConfig {
+                track_size: 4096,
+                cache_tracks: 64,
+                replicas: 1,
+            })
+            .unwrap();
+            let goops: Vec<Goop> = (0..objects).map(|_| store.alloc_goop()).collect();
+            let mut time = 0;
+            for chunk in goops.chunks(1000) {
+                time += 1;
+                let deltas: Vec<ObjectDelta> = chunk
+                    .iter()
+                    .map(|g| delta(*g, vec![(ElemName::Int(1), PRef::int(0))], true))
+                    .collect();
+                store.commit_batch(t(time), &deltas).unwrap();
+            }
+            let target = goops[objects / 2];
+            let mut writes: Vec<u64> = (0..9)
+                .map(|i| {
+                    time += 1;
+                    let before = store.disk_stats().track_writes;
+                    let d = delta(target, vec![(ElemName::Int(1), PRef::int(i))], false);
+                    store.commit_batch(t(time), &[d]).unwrap();
+                    store.disk_stats().track_writes - before
+                })
+                .collect();
+            writes.sort_unstable();
+            writes[writes.len() / 2]
+        };
+        assert_eq!(writes_per_update(10), 2, "one data track, then the root");
+        assert_eq!(writes_per_update(10_000), 2, "the table's size does not show");
+    }
+
+    #[test]
+    fn reopen_replays_the_log_across_page_outs() {
+        let mut store = PermanentStore::create(small_cfg()).unwrap();
+        let goops: Vec<Goop> = (0..40).map(|_| store.alloc_goop()).collect();
+        let deltas: Vec<ObjectDelta> = goops
+            .iter()
+            .map(|g| delta(*g, vec![(ElemName::Int(1), PRef::int(-1))], true))
+            .collect();
+        store.commit_batch(t(1), &deltas).unwrap();
+        let mut walked = Vec::new();
+        for i in 0..30u64 {
+            let g = goops[(i * 7 % 40) as usize];
+            let d = delta(g, vec![(ElemName::Int(1), PRef::int(i as i64))], false);
+            store.commit_batch(t(2 + i), &[d]).unwrap();
+            // A reopening rebuilds exactly the writer's table and log.
+            let reopened = PermanentStore::open(store.disk_mut().clone(), 16).unwrap();
+            assert_eq!(*reopened.locations.read(), *store.locations.read(), "after commit {i}");
+            let (a, b) = (reopened.writer.lock(), store.writer.lock());
+            assert_eq!(a.chain.bytes, b.chain.bytes, "after commit {i}");
+            assert_eq!(a.chain.pages, b.chain.pages, "after commit {i}");
+            assert_eq!(a.page_len, b.page_len, "after commit {i}");
+            assert_eq!(a.catalog, b.catalog, "after commit {i}");
+            walked.push(reopened.recovery_report().log_records);
+        }
+        assert!(walked.iter().any(|&n| n >= 3), "the log grows: {walked:?}");
+        assert!(walked.windows(2).any(|w| w[1] < w[0]), "a page-out cuts it back: {walked:?}");
+        let reopened = PermanentStore::open(store.into_disk(), 16).unwrap();
+        for (i, g) in goops.iter().enumerate() {
+            let last = (0..30u64).rev().find(|k| (k * 7 % 40) as usize == i);
+            let want = last.map_or(-1, |k| k as i64);
+            assert_eq!(
+                reopened.get(*g).unwrap().elem_current(ElemName::Int(1)),
+                Some(PRef::int(want))
+            );
+        }
+    }
+
+    #[test]
+    fn a_chain_that_does_not_run_backwards_is_corrupt() {
+        // Hand-build a newest catalog record whose `prev` names its own
+        // track, then one naming a later track: reopening must refuse both
+        // with a structured error rather than loop or chase garbage.
+        for forward in [0u32, 5] {
+            let mut store = PermanentStore::create(small_cfg()).unwrap();
+            let g = store.alloc_goop();
+            store
+                .commit_batch(t(1), &[delta(g, vec![(ElemName::Int(1), PRef::int(1))], true)])
+                .unwrap();
+            let root = store.root();
+            let track = TrackId(root.next_track);
+            let placeholder = Location { extent_first: track, offset: 0, len: 0 };
+            let mut record = Catalog { prev: Some(placeholder), ..Catalog::default() };
+            let len = format::put_catalog(&record).len() as u32;
+            record.prev =
+                Some(Location { extent_first: TrackId(track.0 + forward), offset: 0, len });
+            let at = Location { extent_first: track, offset: 0, len };
+            let new_root =
+                Root { epoch: root.epoch + 1, next_track: track.0 + 1, catalog: at, ..root };
+            commit::safe_write_group(
+                store.disk_mut(),
+                &[(track, format::put_catalog(&record))],
+                &new_root,
+            )
+            .unwrap();
+            match PermanentStore::open(store.into_disk(), 16) {
+                Err(GemError::Corrupt(msg)) => assert!(msg.contains("predecessor"), "{msg}"),
+                Err(e) => panic!("prev +{forward}: wrong error {e:?}"),
+                Ok(_) => panic!("prev +{forward}: a chain that does not run backwards opened"),
+            }
+        }
     }
 
     #[test]

@@ -159,6 +159,9 @@ pub struct RecoverySummary {
     pub epoch: u64,
     pub tracks_salvaged: u64,
     pub tracks_discarded: u64,
+    /// Catalog records the reopening walked (the location log back to its
+    /// last page-out).
+    pub log_records: u64,
     pub reopen_reads: u64,
 }
 
@@ -337,6 +340,7 @@ impl DiagnosticBundle {
                 epoch,
                 tracks_salvaged,
                 tracks_discarded,
+                log_records,
                 reopen_reads,
             } => Some(RecoverySummary {
                 roots_considered: *roots_considered,
@@ -345,6 +349,7 @@ impl DiagnosticBundle {
                 epoch: *epoch,
                 tracks_salvaged: *tracks_salvaged,
                 tracks_discarded: *tracks_discarded,
+                log_records: *log_records,
                 reopen_reads: *reopen_reads,
             }),
             _ => None,
@@ -426,7 +431,8 @@ impl DiagnosticBundle {
         }
         // Storage health from the replayed registry: fsync latency
         // quantiles and the per-shard cache hit/miss split (a skewed
-        // shard is a clustering hot spot the aggregate hit rate hides).
+        // shard is a clustering hot spot the aggregate hit rate hides),
+        // plus how much location log the last reopening replayed.
         let fsync = self.replayed.histogram("storage.disk.fsync_us");
         let shards: Vec<(usize, u64, u64)> = (0..64)
             .map(|i| {
@@ -438,7 +444,10 @@ impl DiagnosticBundle {
             })
             .filter(|&(_, h, m)| h + m > 0)
             .collect();
-        if fsync.map(|f| f.count > 0).unwrap_or(false) || !shards.is_empty() {
+        if fsync.map(|f| f.count > 0).unwrap_or(false)
+            || !shards.is_empty()
+            || self.recovery.is_some()
+        {
             let _ = writeln!(out, "\nstorage health:");
             if let Some(f) = fsync {
                 if f.count > 0 {
@@ -456,6 +465,13 @@ impl DiagnosticBundle {
                 let total = h + m;
                 let pct = if total == 0 { 100.0 } else { *h as f64 / total as f64 * 100.0 };
                 let _ = writeln!(out, "  cache shard {i}: {h} hits / {m} misses ({pct:.1}%)");
+            }
+            if let Some(r) = &self.recovery {
+                let _ = writeln!(
+                    out,
+                    "  location log: {} catalog records walked at reopen",
+                    r.log_records
+                );
             }
         }
         if !self.slow_statements.is_empty() {
@@ -706,13 +722,14 @@ impl DiagnosticBundle {
                     out,
                     "  \"recovery\": {{\"roots_considered\":{},\"roots_valid\":{},\
                      \"roots_torn\":{},\"epoch\":{},\"tracks_salvaged\":{},\
-                     \"tracks_discarded\":{},\"reopen_reads\":{}}},",
+                     \"tracks_discarded\":{},\"log_records\":{},\"reopen_reads\":{}}},",
                     r.roots_considered,
                     r.roots_valid,
                     r.roots_torn,
                     r.epoch,
                     r.tracks_salvaged,
                     r.tracks_discarded,
+                    r.log_records,
                     r.reopen_reads
                 );
             }

@@ -28,7 +28,7 @@ use std::sync::{Arc, Mutex};
 /// Journal schema version written by this build — and the only one its
 /// reader accepts: a segment whose header names any other is rejected.
 /// Bump it whenever an event's wire form changes.
-pub const JOURNAL_SCHEMA: u64 = 4;
+pub const JOURNAL_SCHEMA: u64 = 5;
 
 const BUCKETS: usize = 64;
 
@@ -290,6 +290,7 @@ pub enum JournalEvent {
         epoch: u64,
         tracks_salvaged: u64,
         tracks_discarded: u64,
+        log_records: u64,
         reopen_reads: u64,
     },
 }
@@ -444,12 +445,13 @@ impl JournalEvent {
                 epoch,
                 tracks_salvaged,
                 tracks_discarded,
+                log_records,
                 reopen_reads,
             } => format!(
                 "{{\"e\":\"recovery\",\"roots_considered\":{roots_considered},\
                  \"roots_valid\":{roots_valid},\"roots_torn\":{roots_torn},\"epoch\":{epoch},\
                  \"tracks_salvaged\":{tracks_salvaged},\"tracks_discarded\":{tracks_discarded},\
-                 \"reopen_reads\":{reopen_reads}}}"
+                 \"log_records\":{log_records},\"reopen_reads\":{reopen_reads}}}"
             ),
         }
     }
@@ -597,6 +599,7 @@ impl JournalEvent {
                 epoch: obj.u64("epoch")?,
                 tracks_salvaged: obj.u64("tracks_salvaged")?,
                 tracks_discarded: obj.u64("tracks_discarded")?,
+                log_records: obj.u64("log_records")?,
                 reopen_reads: obj.u64("reopen_reads")?,
             },
             other => return Err(format!("unknown journal event {other:?}")),
@@ -754,6 +757,7 @@ impl JournalEvent {
                 epoch,
                 tracks_salvaged,
                 tracks_discarded,
+                log_records,
                 reopen_reads,
             } => {
                 r.gauge("storage.recovery.roots_considered").set(*roots_considered as i64);
@@ -762,6 +766,7 @@ impl JournalEvent {
                 r.gauge("storage.recovery.epoch").set(*epoch as i64);
                 r.gauge("storage.recovery.tracks_salvaged").set(*tracks_salvaged as i64);
                 r.gauge("storage.recovery.tracks_discarded").set(*tracks_discarded as i64);
+                r.gauge("storage.recovery.log_records").set(*log_records as i64);
                 r.gauge("storage.recovery.reopen_reads").set(*reopen_reads as i64);
             }
         }
@@ -1387,6 +1392,7 @@ mod tests {
                 epoch: 5,
                 tracks_salvaged: 9,
                 tracks_discarded: 1,
+                log_records: 3,
                 reopen_reads: 12,
             },
             JournalEvent::CacheConfigured { tracks: 16 },

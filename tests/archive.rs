@@ -61,6 +61,74 @@ fn archive_shrinks_the_recovered_image() {
     );
 }
 
+/// The archived image is persisted through the location log like any other
+/// commit group: reopening right after the archive replays it from the
+/// log, and reopening after enough further commits finds it in the pages a
+/// page-out rewrote. Either way every retained state answers exactly at
+/// its commit time and every archived one reads as nonexistent.
+#[test]
+fn archive_survives_reopen_through_the_log_and_across_a_page_out() {
+    let cfg = StoreConfig { track_size: 1024, cache_tracks: 16, replicas: 1 };
+    let gs = GemStone::create(cfg).unwrap();
+    let mut s = gs.login("system").unwrap();
+    // Sixty more objects on the GOOP-table page make it outweigh a few
+    // catalog records, so the log runs several commits between page-outs.
+    s.run(
+        "| d | A := Dictionary new. Pad := OrderedCollection new.
+         1 to: 60 do: [:i | d := Dictionary new. d at: #i put: i. Pad add: d]",
+    )
+    .unwrap();
+    s.commit().unwrap();
+    let mut states: Vec<(u64, i64)> = Vec::new(); // (commit time, A at: #v)
+    let update = |s: &mut gemstone::Session, states: &mut Vec<(u64, i64)>, v: i64| {
+        s.run(&format!("A at: #v put: {v}")).unwrap();
+        states.push((s.commit().unwrap().ticks(), v));
+    };
+    for i in 0..12 {
+        update(&mut s, &mut states, i * 10);
+    }
+    let cut = states[6].0;
+    let archived = s.run(&format!("System archiveHistoryBefore: {cut}")).unwrap();
+    assert!(archived.as_int().unwrap() >= 6, "the states before the cut were archived");
+
+    let check = |gs: &GemStone, states: &[(u64, i64)], when: &str| {
+        let mut s = gs.login("system").unwrap();
+        for &(t, v) in states {
+            let got = s.run(&format!("A ! v @ {t}")).unwrap();
+            if t < cut {
+                assert!(got.is_nil(), "{when}: the state at {t} was archived");
+            } else {
+                assert_eq!(got.as_int(), Some(v), "{when}: the state at {t}");
+            }
+        }
+        assert_eq!(s.run("Pad size").unwrap().as_int(), Some(60), "{when}");
+        assert_eq!(s.run("(Pad at: 60) at: #i").unwrap().as_int(), Some(60), "{when}");
+    };
+
+    // Reopen straight after the archive.
+    drop(s);
+    let gs = GemStone::open(gs.shutdown().unwrap(), 16).unwrap();
+    let walked = gs.database().recovery_report().log_records;
+    assert!(walked >= 2, "the archive group is replayed from the log ({walked} records)");
+    check(&gs, &states, "right after the archive");
+
+    // Commit past at least one page-out, then reopen again.
+    let mut s = gs.login("system").unwrap();
+    let after_archive = 20;
+    for i in 0..after_archive {
+        update(&mut s, &mut states, 1000 + i);
+    }
+    drop(s);
+    let gs = GemStone::open(gs.shutdown().unwrap(), 16).unwrap();
+    let walked = gs.database().recovery_report().log_records;
+    assert!(
+        walked < after_archive as u32,
+        "the reopening replayed {walked} catalog records: a page-out after the archive \
+         put its locations in the pages"
+    );
+    check(&gs, &states, "after a page-out");
+}
+
 #[test]
 fn only_the_dba_may_archive() {
     let gs = GemStone::in_memory();

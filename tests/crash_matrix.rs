@@ -53,12 +53,13 @@ fn exhaustive_storage_crash_matrix() {
     eprintln!("crash matrix backend: {backend:?}");
     eprintln!(
         "crash matrix: {} commits, {} writes -> {} commit crash points, \
-         {} recovery crash points, {} reopenings, {} violations",
+         {} recovery crash points, {} reopenings, longest log walk {} records, {} violations",
         report.commits,
         report.total_writes,
         report.commit_crash_points,
         report.recovery_crash_points,
         report.reopenings,
+        report.max_log_records,
         report.violations.len(),
     );
     if !report.is_clean() {
@@ -88,6 +89,15 @@ fn exhaustive_storage_crash_matrix() {
         "recovery performs at least two reads per reopening, all interrupted"
     );
     assert!(report.reopenings > report.commit_crash_points, "each point recovers at least once");
+    // Recovery replayed the location log somewhere (a walk of two or more
+    // catalog records), and never the whole history: a page-out was
+    // crossed, on whichever backend ran.
+    assert!(
+        (2..report.commits).contains(&report.max_log_records),
+        "longest log walk {} records over {} commits",
+        report.max_log_records,
+        report.commits
+    );
 }
 
 /// The physical write/fsync stream of real commits on the file backend:
@@ -137,6 +147,10 @@ fn file_backend_fsync_trace_shows_group_commit() {
 #[test]
 fn schedule_token_is_a_one_line_repro() {
     // The token printed on failure replays the identical crash standalone.
+    // The six commits profile at 2, 2, 3, 3, 4, 2 writes (one extent plus
+    // the root), so these name: the first data track of the metadata
+    // commit, a middle track of the multi-track byte body, the root of
+    // commit 5, and the root of commit 3 with its recovery crashed too.
     let w = Workload::standard(6);
     for token in ["c2.w0.clean", "c4.w2.hsum", "c5.w1.tail", "c3.w2.half.r1"] {
         let s: CrashSchedule = token.parse().expect(token);

@@ -122,8 +122,16 @@ fn replay_survives_reopen() {
     assert_eq!(replayed.to_json_lines(), live.to_json_lines());
     // The recovery pass itself was recorded.
     let bundle = DiagnosticBundle::build(&readout, Some(&live), "reopen");
-    let rec = bundle.recovery.expect("recovery event recorded at reopen");
+    let rec = bundle.recovery.clone().expect("recovery event recorded at reopen");
     assert!(rec.roots_considered >= 1);
+    assert_eq!(rec.log_records, gs2.database().recovery_report().log_records as u64);
+    // The doctor's storage-health section says how much log was replayed.
+    let text = bundle.render();
+    let health = &text[text.find("storage health:").expect("storage-health section")..];
+    assert!(
+        health.contains(&format!("location log: {} catalog records walked", rec.log_records)),
+        "{health}"
+    );
     assert_eq!(bundle.replay_matches_live, Some(true));
 }
 

@@ -397,6 +397,8 @@ fn recovery_gauges_and_read_through_fills() {
     assert_eq!(snap.gauge("storage.recovery.epoch"), rep.recovered_epoch as i64);
     assert_eq!(snap.gauge("storage.recovery.tracks_salvaged"), rep.tracks_salvaged as i64);
     assert_eq!(snap.gauge("storage.recovery.tracks_discarded"), rep.tracks_discarded as i64);
+    assert_eq!(snap.gauge("storage.recovery.log_records"), rep.log_records as i64);
+    assert!(rep.log_records >= 1, "the newest catalog record is always read");
     assert_eq!(snap.gauge("storage.recovery.reopen_reads"), rep.reopen_reads as i64);
 
     let before = s2.metrics();
