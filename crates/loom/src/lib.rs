@@ -22,7 +22,7 @@
 //! Benchmark C7 runs the same object graphs through LOOM and through the
 //! GemStone Object Manager and compares fault and track-read counts.
 
-use gemstone_storage::{SimDisk, TrackId, TRACK_HEADER};
+use gemstone_storage::{SimDisk, TrackDisk, TrackId, TRACK_HEADER};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -256,13 +256,13 @@ impl LoomMemory {
 
     /// Disk access counters.
     pub fn disk_stats(&self) -> gemstone_storage::DiskStats {
-        self.disk.stats()
+        self.disk.counters().snapshot()
     }
 
     /// Reset counters between benchmark phases.
     pub fn reset_stats(&mut self) {
         self.stats = LoomStats::default();
-        self.disk.reset_stats();
+        self.disk.counters().reset();
     }
 
     /// Number of currently resident objects.

@@ -4,16 +4,17 @@
 //! served through an LRU cache of track payloads; hit/miss counters feed the
 //! clustering experiments (C7).
 //!
-//! The cache is backend-agnostic: it fronts whichever [`TrackDisk`]
-//! implementation the store was built on (the simulated disk or the real
+//! The cache is backend-agnostic: it fronts the store's [`TrackDisk`]
+//! whichever medium sits under it (the simulated [`RamDisk`] or the real
 //! [`FileDisk`]), caching decoded payloads with the track checksum already
 //! stripped. On the file backend the commit path's write-through fills are
 //! what keep a freshly reopened volume from re-reading every track it just
 //! wrote; recovery instead starts cold via [`TrackCache::clear`] /
 //! [`ShardedTrackCache::clear`] so nothing stale survives a root rollback.
 //!
-//! [`TrackDisk`]: crate::disk::TrackDisk
-//! [`FileDisk`]: crate::file_disk::FileDisk
+//! [`TrackDisk`]: crate::TrackDisk
+//! [`RamDisk`]: crate::RamDisk
+//! [`FileDisk`]: crate::FileDisk
 
 use crate::disk::TrackId;
 use gemstone_telemetry::{Counter, Journal, JournalEvent};

@@ -337,12 +337,7 @@ mod tests {
 
     #[test]
     fn group_commit_fsync_ordering_file() {
-        let dir =
-            std::env::temp_dir().join(format!("gemstone-commit-fsync-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut f = crate::file_disk::FaultFile::create(dir.join("db.gem"), 256).unwrap();
-        f.set_ephemeral(true);
+        let f = crate::file_disk::tests::scratch(256);
         assert_group_commit_ordering(DiskArray::from_backend(Box::new(f)));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

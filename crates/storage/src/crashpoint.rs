@@ -34,7 +34,7 @@
 //! [`RecoveryReport`]: crate::commit::RecoveryReport
 
 use crate::commit::RecoveryReport;
-use crate::disk::{DiskArray, FaultPlan, ReadFault, TearClass};
+use crate::disk::{DiskArray, FaultPlan, IoRecord, ReadFault, TearClass};
 use crate::format;
 use crate::pobj::ObjectDelta;
 use crate::store::{PermanentStore, StoreConfig};
@@ -315,12 +315,13 @@ impl MatrixReport {
     }
 }
 
-/// Which storage backend a matrix run drives. The enumeration itself is
-/// backend-blind — checkpoints, fault arming, and recovery all go through
-/// the [`TrackDisk`](crate::TrackDisk) trait — so the only difference is
-/// where the initial volume comes from: a [`SimDisk`](crate::SimDisk) in
-/// memory, or a real file (plus its checkpoint copies) under `dir`,
-/// torn by [`FaultFile`](crate::FaultFile) at actual file offsets.
+/// Which storage medium a matrix run drives. The enumeration itself is
+/// medium-blind — checkpoints, fault arming, tears and recovery all go
+/// through the one fault layer ([`Faulty`](crate::Faulty)) — so the only
+/// difference is where the bytes live: a [`SimDisk`](crate::SimDisk) in
+/// memory, or a real file (plus its checkpoint copies) under `dir`, where
+/// [`FaultFile`](crate::FaultFile)'s tears are short `pwrite`s at actual
+/// file offsets.
 #[derive(Debug, Clone)]
 pub enum MatrixBackend {
     /// The in-memory simulated disk (the default).
@@ -373,13 +374,22 @@ fn profile(w: &Workload, backend: &MatrixBackend) -> Result<Profile, String> {
         images: vec![StateImage::capture(&mut store, &keys)?],
     };
     for k in 0..w.steps.len() {
-        p.checkpoints.push(store.disk_mut().clone());
+        p.checkpoints.push(checkpoint(store.disk_mut())?);
         w.apply(&mut store, k).map_err(|e| format!("profile commit {k}: {e}"))?;
-        let trace = store.disk_mut().replica_mut(0).take_write_trace();
-        p.write_counts.push(trace.len() as u32);
+        p.write_counts.push(traced_writes(store.disk_mut()));
         p.images.push(StateImage::capture(&mut store, &keys)?);
     }
     Ok(p)
+}
+
+/// Writes in the primary's I/O trace since it was last taken (draining it).
+fn traced_writes(disk: &mut DiskArray) -> u32 {
+    let trace = disk.replica_mut(0).take_io_trace();
+    trace.iter().filter(|r| matches!(r, IoRecord::Write { .. })).count() as u32
+}
+
+fn checkpoint(disk: &DiskArray) -> Result<DiskArray, String> {
+    disk.checkpoint().map_err(|e| format!("checkpoint: {e}"))
 }
 
 /// Execute one crash schedule against a checkpointed platter and check
@@ -400,7 +410,7 @@ fn check_schedule(
     let keys = w.meta_keys();
 
     // 1. Reopen the checkpoint and run commit k into the armed fault plan.
-    let mut disk = base.clone();
+    let mut disk = checkpoint(base)?;
     disk.replica_mut(0).revive();
     let mut store = PermanentStore::open(disk, w.cfg.cache_tracks)
         .map_err(|e| format!("checkpoint open: {e}"))?;
@@ -423,7 +433,7 @@ fn check_schedule(
     let mut crashed = store.into_disk();
     crashed.replica_mut(0).revive();
     if let Some(r) = s.recovery_read {
-        let mut faulted = crashed.clone();
+        let mut faulted = checkpoint(&crashed)?;
         faulted.replica_mut(0).set_fault_plan(FaultPlan {
             read_fault: Some(ReadFault { after_reads: r as u64, count: 1 }),
             ..FaultPlan::default()
@@ -549,7 +559,7 @@ pub fn enumerate_matrix_on(
         // Determinism probe: armed one write past the end, the commit must
         // succeed and match the clean run — so write index i means the
         // same write here as it did in the profile.
-        let mut disk = base.clone();
+        let mut disk = base.checkpoint()?;
         disk.replica_mut(0).revive();
         let mut store = PermanentStore::open(disk, w.cfg.cache_tracks)
             .map_err(|e| GemError::RuntimeError(format!("checkpoint {k}: {e}")))?;
@@ -633,10 +643,10 @@ pub fn run_schedule_on(
         w.apply(&mut store, j).map_err(|e| format!("prefix commit {j}: {e}"))?;
     }
     let pre = StateImage::capture(&mut store, &keys)?;
-    let base = store.disk_mut().clone();
-    store.disk_mut().replica_mut(0).take_write_trace();
+    let base = checkpoint(store.disk_mut())?;
+    store.disk_mut().replica_mut(0).take_io_trace();
     w.apply(&mut store, k).map_err(|e| format!("clean commit {k}: {e}"))?;
-    let write_count = store.disk_mut().replica_mut(0).take_write_trace().len() as u32;
+    let write_count = traced_writes(store.disk_mut());
     let post = StateImage::capture(&mut store, &keys)?;
     let mut reopenings = 0;
     check_schedule(w, s, &base, &pre, &post, write_count, &mut reopenings).map(|_| ())
@@ -723,7 +733,7 @@ mod tests {
             for k in 0..w.steps.len() {
                 w.apply(&mut store, k).unwrap();
             }
-            store.disk_mut().replica_mut(0).take_write_trace()
+            store.disk_mut().replica_mut(0).take_io_trace()
         };
         assert_eq!(trace(&w), trace(&w));
     }

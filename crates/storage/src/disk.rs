@@ -1,21 +1,31 @@
-//! The simulated disk: whole-track access, accounting, failure injection.
+//! Whole-track disks: two media under one fault layer.
 //!
 //! The paper's GemStone ran on special-purpose hardware with the database
 //! controlling the disk directly; "disk access will always be by entire
-//! tracks". [`SimDisk`] reproduces exactly that interface — `read_track` /
-//! `write_track`, nothing smaller — and counts every access, because the
-//! storage experiments (C5, C7, C9, C10 in DESIGN.md) are about access
-//! *counts and atomicity*, not device physics.
+//! tracks". A [`Medium`] is exactly that and nothing more — land bytes at
+//! the start of a track slot, read a slot, sync, say which slots exist,
+//! copy itself — and there are two: [`RamDisk`], a `Vec` of boxed tracks
+//! that keeps tests and the crash matrix at memory speed, and
+//! [`FileDisk`](crate::FileDisk), a preallocated track-aligned file.
 //!
-//! Crash injection: a disk carries a pluggable [`FaultPlan`]. The plan can
-//! arm a crash after N more writes — the N+1st write *tears* at a chosen
-//! byte-offset class ([`TearClass`]) or vanishes entirely (a clean crash
-//! between writes) and every subsequent operation fails — and can inject
-//! transient read errors (a window of failing reads that clears on its
-//! own), modeling power loss mid-commit and media hiccups mid-recovery.
-//! A plan can also record a trace of every successful write, which is how
-//! the crash-matrix harness ([`crate::crashpoint`]) learns "commit k
-//! performs w writes" before enumerating every crash point.
+//! [`Faulty`] wraps either medium with everything the storage experiments
+//! (C5, C7, C9, C10 in DESIGN.md) observe — access counters and their
+//! journal events, the I/O trace, failure injection — written once. It is
+//! the only code that decides a write is oversized, torn or refused, or
+//! that a read falls inside a fault window, so a crash schedule means the
+//! same thing on either medium. [`SimDisk`] and
+//! [`FaultFile`](crate::FaultFile) are its two instances; [`TrackDisk`] is
+//! the surface the store drives.
+//!
+//! Crash injection: a [`FaultPlan`] can arm a crash after N more writes —
+//! the N+1st write *tears* at a chosen byte-offset class ([`TearClass`]) or
+//! vanishes entirely (a clean crash between writes) and every subsequent
+//! operation fails — and can inject transient read errors (a window of
+//! failing reads that clears on its own), modeling power loss mid-commit
+//! and media hiccups mid-recovery. A plan can also record the ordered
+//! write/sync trace, which is how the crash-matrix harness
+//! ([`crate::crashpoint`]) learns "commit k performs w writes" before
+//! enumerating every crash point.
 
 use gemstone_object::{GemError, GemResult};
 use gemstone_telemetry::{Counter, Histogram, HistogramSnapshot, Journal, JournalEvent};
@@ -37,9 +47,11 @@ pub struct DiskStats {
     pub track_reads: u64,
     pub track_writes: u64,
     pub bytes_written: u64,
-    /// Reads that returned an error (dead disk, transient fault, absent track).
+    /// Reads that returned an error (dead disk, transient fault, absent
+    /// track, I/O error).
     pub failed_reads: u64,
-    /// Writes that returned an error (dead disk, torn write, oversized data).
+    /// Writes that returned an error (dead disk, torn write, oversized
+    /// data, I/O error).
     pub failed_writes: u64,
     /// Durability barriers issued ([`TrackDisk::sync`]): real
     /// `fdatasync` calls on the file backend, counted no-ops on the
@@ -54,9 +66,8 @@ pub struct DiskStats {
 /// The live telemetry counters behind [`DiskStats`].  Handles are shared
 /// atomics so a [`gemstone_telemetry::MetricsRegistry`] can bind the very
 /// cells the disk increments; `Clone` deliberately *detaches* (fresh cells
-/// holding the current values) because cloning a [`SimDisk`] means taking
-/// a checkpoint, and a checkpoint's counters must not keep ticking with
-/// the original.
+/// holding the current values) because a checkpoint's counters must not
+/// keep ticking with the original's.
 #[derive(Debug, Default)]
 pub struct DiskCounters {
     pub track_reads: Counter,
@@ -97,7 +108,8 @@ impl DiskCounters {
         }
     }
 
-    pub(crate) fn reset(&self) {
+    /// Zero every cell (benchmark hygiene).
+    pub fn reset(&self) {
         self.track_reads.reset();
         self.track_writes.reset();
         self.bytes_written.reset();
@@ -194,16 +206,25 @@ pub struct ReadFault {
     pub count: u64,
 }
 
-/// One successful write, as recorded by a tracing [`FaultPlan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WriteRecord {
-    pub track: TrackId,
-    pub len: usize,
+impl ReadFault {
+    /// Advance the window past one read; true if that read fails.
+    fn trips(&mut self) -> bool {
+        if self.after_reads > 0 {
+            self.after_reads -= 1;
+            false
+        } else if self.count > 0 {
+            self.count -= 1;
+            true
+        } else {
+            false
+        }
+    }
 }
 
 /// One physical I/O operation in order, as recorded by a tracing
 /// [`FaultPlan`] — the evidence stream for fsync-ordering assertions
-/// (no root-page write may precede its data tracks' sync barrier).
+/// (no root-page write may precede its data tracks' sync barrier) and the
+/// crash matrix's per-commit write counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoRecord {
     /// A successful whole-track write.
@@ -212,14 +233,39 @@ pub enum IoRecord {
     Sync,
 }
 
-/// The whole-track disk interface the storage stack is written against.
-///
-/// Extracted from [`SimDisk`]'s surface so the simulated disk and the
-/// durable [`FileDisk`](crate::file_disk::FileDisk) (behind its
-/// [`FaultFile`](crate::file_disk::FaultFile) fault-injection wrapper) are
-/// interchangeable everywhere — the store, the Commit Manager, and the
-/// crash-point matrix all drive `dyn TrackDisk` and cannot tell the
-/// backends apart except through [`TrackDisk::backend_name`].
+/// The pluggable fault-injection plan carried by a [`Faulty`] disk. The
+/// default plan injects nothing.
+#[derive(Debug, Default, Clone)]
+pub struct FaultPlan {
+    /// `Some(n)`: n more writes succeed; the next one crashes the disk,
+    /// tearing per [`FaultPlan::tear`].
+    pub crash_after_writes: Option<u64>,
+    /// How the crashing write tears ([`TearClass::Clean`] = it never lands).
+    pub tear: TearClass,
+    /// Transient read-error window.
+    pub read_fault: Option<ReadFault>,
+    /// Record every successful write and sync in the I/O trace.
+    pub record_trace: bool,
+}
+
+impl FaultPlan {
+    /// The legacy arm-and-tear plan: `n` writes succeed, the next tears in
+    /// half and the disk dies.
+    pub fn crash_after(n: u64) -> FaultPlan {
+        FaultPlan { crash_after_writes: Some(n), tear: TearClass::Half, ..FaultPlan::default() }
+    }
+
+    /// A tracing plan that injects no faults.
+    pub fn trace() -> FaultPlan {
+        FaultPlan { record_trace: true, ..FaultPlan::default() }
+    }
+}
+
+/// The whole-track disk surface the storage stack is written against. The
+/// store, the Commit Manager and the crash-point matrix all drive
+/// `dyn TrackDisk` and cannot tell the media apart except through
+/// [`TrackDisk::backend_name`]. [`Faulty`] is the implementation; the trait
+/// is what lets one [`DiskArray`] hold either medium.
 pub trait TrackDisk: Send + std::fmt::Debug {
     /// Stable backend identifier stamped into journal events
     /// (`"sim"` / `"file"`).
@@ -228,36 +274,21 @@ pub trait TrackDisk: Send + std::fmt::Debug {
     /// Track size in bytes (includes the [`TRACK_HEADER`]).
     fn track_size(&self) -> usize;
 
-    /// Number of tracks ever written.
-    fn tracks_in_use(&self) -> usize;
-
-    /// Access counters so far.
-    fn stats(&self) -> DiskStats;
-
-    /// The live counter cells (for registry binding).
-    fn counters(&self) -> DiskCounters;
-
-    /// Reset counters (benchmark hygiene).
-    fn reset_stats(&mut self);
+    /// The live counter cells: [`DiskCounters::snapshot`] reads them,
+    /// [`DiskCounters::share`] binds them to a registry.
+    fn counters(&self) -> &DiskCounters;
 
     /// Attach the flight recorder; every counter move also emits a journal
     /// event, so replaying the journal reproduces the counters.
     fn attach_journal(&mut self, journal: Journal);
 
-    /// Install a fault plan, reviving the disk if it was dead.
+    /// Install a fault plan, reviving the disk if it was dead. The I/O
+    /// trace is cleared when the new plan records one.
     fn set_fault_plan(&mut self, plan: FaultPlan);
-
-    /// The write trace accumulated so far (with `record_trace` armed),
-    /// clearing it.
-    fn take_write_trace(&mut self) -> Vec<WriteRecord>;
 
     /// The ordered write/sync trace accumulated so far (with
     /// `record_trace` armed), clearing it.
     fn take_io_trace(&mut self) -> Vec<IoRecord>;
-
-    /// Disarm all fault injection and revive the disk (power-up after a
-    /// crash; any torn data remains).
-    fn revive(&mut self);
 
     /// True once a crash has been triggered.
     fn is_dead(&self) -> bool;
@@ -284,7 +315,18 @@ pub trait TrackDisk: Send + std::fmt::Debug {
 
     /// Checkpoint: an independent copy of the platter. Counters detach and
     /// any journal is dropped — a checkpoint must not keep emitting.
-    fn clone_disk(&self) -> Box<dyn TrackDisk>;
+    fn checkpoint(&self) -> GemResult<Box<dyn TrackDisk>>;
+
+    /// Number of tracks ever written.
+    fn tracks_in_use(&self) -> usize {
+        self.tracks_beyond(0) as usize
+    }
+
+    /// Disarm all fault injection and revive the disk (power-up after a
+    /// crash; any torn data remains).
+    fn revive(&mut self) {
+        self.set_fault_plan(FaultPlan::default());
+    }
 
     /// Arm crash injection: `n` more writes succeed, the next one tears in
     /// half (shorthand for installing [`FaultPlan::crash_after`]).
@@ -293,388 +335,308 @@ pub trait TrackDisk: Send + std::fmt::Debug {
     }
 }
 
-/// The pluggable fault-injection plan carried by a [`SimDisk`]. The default
-/// plan injects nothing.
-#[derive(Debug, Default, Clone)]
-pub struct FaultPlan {
-    /// `Some(n)`: n more writes succeed; the next one crashes the disk,
-    /// tearing per [`FaultPlan::tear`].
-    pub crash_after_writes: Option<u64>,
-    /// How the crashing write tears ([`TearClass::Clean`] = it never lands).
-    pub tear: TearClass,
-    /// Transient read-error window.
-    pub read_fault: Option<ReadFault>,
-    /// Record every successful write in the trace.
-    pub record_trace: bool,
+/// Whole-track storage and nothing else: no counters, no faults, no
+/// policy. [`Faulty`] is the only caller, and it never hands a medium an
+/// oversized write or a read of a slot that does not exist.
+pub trait Medium: Send + std::fmt::Debug + Sized + 'static {
+    /// Backend identifier stamped into journal events.
+    const NAME: &'static str;
+
+    /// Track size in bytes (includes the [`TRACK_HEADER`]).
+    fn track_size(&self) -> usize;
+
+    /// Land `bytes` at the start of slot `id` — a whole zero-padded track,
+    /// or the torn prefix of a crashing write. Past them the slot keeps
+    /// what it held (zeros if it never existed). The slot exists afterwards.
+    fn write(&mut self, id: TrackId, bytes: &[u8]) -> GemResult<()>;
+
+    /// Read a whole slot.
+    fn read(&mut self, id: TrackId) -> GemResult<&[u8]>;
+
+    /// Durability barrier, returning its latency in microseconds.
+    fn sync(&mut self) -> GemResult<u64>;
+
+    /// Every written slot lies below this index.
+    fn slot_count(&self) -> usize;
+
+    /// True if the slot has ever been written (a torn prefix counts).
+    fn exists(&self, id: TrackId) -> bool;
+
+    /// An independent copy of the platter.
+    fn checkpoint(&self) -> GemResult<Self>;
 }
 
-impl FaultPlan {
-    /// The legacy arm-and-tear plan: `n` writes succeed, the next tears in
-    /// half and the disk dies.
-    pub fn crash_after(n: u64) -> FaultPlan {
-        FaultPlan { crash_after_writes: Some(n), tear: TearClass::Half, ..FaultPlan::default() }
-    }
-
-    /// A tracing plan that injects no faults.
-    pub fn trace() -> FaultPlan {
-        FaultPlan { record_trace: true, ..FaultPlan::default() }
-    }
+fn never_written(id: TrackId) -> GemError {
+    GemError::DiskFailure(format!("track {id:?} never written"))
 }
 
-/// A simulated disk of fixed-size tracks.
+/// The simulated medium: a slot is a boxed track, absent until written.
 #[derive(Debug)]
-pub struct SimDisk {
+pub struct RamDisk {
     track_size: usize,
     tracks: Vec<Option<Box<[u8]>>>,
-    stats: DiskCounters,
-    plan: FaultPlan,
-    trace: Vec<WriteRecord>,
-    io_trace: Vec<IoRecord>,
-    dead: bool,
-    /// Flight recorder, attached to the primary replica only (the one
-    /// whose counters the registry binds).  Not derivable: cloning a disk
-    /// takes a checkpoint, and a checkpoint must not keep emitting.
-    journal: Option<Journal>,
 }
 
-impl Clone for SimDisk {
-    fn clone(&self) -> SimDisk {
-        SimDisk {
-            track_size: self.track_size,
-            tracks: self.tracks.clone(),
-            stats: self.stats.clone(), // detaches, like the journal below
-            plan: self.plan.clone(),
-            trace: self.trace.clone(),
-            io_trace: self.io_trace.clone(),
-            dead: self.dead,
-            journal: None,
+impl Medium for RamDisk {
+    const NAME: &'static str = "sim";
+
+    fn track_size(&self) -> usize {
+        self.track_size
+    }
+
+    fn write(&mut self, id: TrackId, bytes: &[u8]) -> GemResult<()> {
+        let (idx, size) = (id.0 as usize, self.track_size);
+        if idx >= self.tracks.len() {
+            self.tracks.resize_with(idx + 1, || None);
         }
+        let slot = self.tracks[idx].get_or_insert_with(|| vec![0; size].into_boxed_slice());
+        slot[..bytes.len()].copy_from_slice(bytes);
+        Ok(())
+    }
+
+    fn read(&mut self, id: TrackId) -> GemResult<&[u8]> {
+        self.tracks.get(id.0 as usize).and_then(|t| t.as_deref()).ok_or_else(|| never_written(id))
+    }
+
+    /// The simulated platter is always durable: a barrier takes no time.
+    fn sync(&mut self) -> GemResult<u64> {
+        Ok(0)
+    }
+
+    fn slot_count(&self) -> usize {
+        self.tracks.len()
+    }
+
+    fn exists(&self, id: TrackId) -> bool {
+        self.tracks.get(id.0 as usize).is_some_and(|t| t.is_some())
+    }
+
+    fn checkpoint(&self) -> GemResult<RamDisk> {
+        Ok(RamDisk { track_size: self.track_size, tracks: self.tracks.clone() })
     }
 }
+
+/// The fault layer: one [`TrackDisk`] over any [`Medium`]. Owns the
+/// [`FaultPlan`], death, the I/O trace, the counters and the journal, so a
+/// tear, a read-fault window or a failed `pwrite` is decided, counted and
+/// journaled here and nowhere else.
+#[derive(Debug)]
+pub struct Faulty<M> {
+    pub(crate) medium: M,
+    plan: FaultPlan,
+    dead: bool,
+    io_trace: Vec<IoRecord>,
+    /// Scratch track: a write is zero-padded here to a whole track.
+    pad: Vec<u8>,
+    meter: Meter,
+}
+
+/// The simulated disk: the fault layer over [`RamDisk`].
+pub type SimDisk = Faulty<RamDisk>;
 
 impl SimDisk {
     /// A fresh disk. `track_size` includes the [`TRACK_HEADER`].
     pub fn new(track_size: usize) -> SimDisk {
         assert!(track_size > TRACK_HEADER * 2, "track size too small");
-        SimDisk {
-            track_size,
-            tracks: Vec::new(),
-            stats: DiskCounters::default(),
+        Faulty::over(RamDisk { track_size, tracks: Vec::new() })
+    }
+}
+
+impl<M: Medium> Faulty<M> {
+    /// Wrap a medium with the default (passthrough) plan.
+    pub(crate) fn over(medium: M) -> Faulty<M> {
+        Faulty {
+            pad: vec![0; medium.track_size()],
+            medium,
             plan: FaultPlan::default(),
-            trace: Vec::new(),
-            io_trace: Vec::new(),
             dead: false,
-            journal: None,
+            io_trace: Vec::new(),
+            meter: Meter { counters: DiskCounters::default(), journal: None, backend: M::NAME },
         }
     }
+}
 
-    /// Attach the flight recorder; every counter move below also emits a
-    /// journal event, so replaying the journal reproduces the counters.
-    pub fn attach_journal(&mut self, journal: Journal) {
-        self.journal = Some(journal);
+impl<M: Medium> TrackDisk for Faulty<M> {
+    fn backend_name(&self) -> &'static str {
+        M::NAME
     }
 
-    #[inline]
-    fn journal_on(&self) -> Option<&Journal> {
-        match &self.journal {
-            Some(j) if j.enabled() => Some(j),
-            _ => None,
-        }
+    fn track_size(&self) -> usize {
+        self.pad.len()
     }
 
-    /// Track size in bytes.
-    pub fn track_size(&self) -> usize {
-        self.track_size
+    fn counters(&self) -> &DiskCounters {
+        &self.meter.counters
     }
 
-    /// Number of tracks ever written.
-    pub fn tracks_in_use(&self) -> usize {
-        self.tracks.iter().filter(|t| t.is_some()).count()
+    fn attach_journal(&mut self, journal: Journal) {
+        self.meter.journal = Some(journal);
     }
 
-    /// Access counters so far.
-    pub fn stats(&self) -> DiskStats {
-        self.stats.snapshot()
-    }
-
-    /// The live counter cells (for registry binding).
-    pub fn counters(&self) -> DiskCounters {
-        self.stats.share()
-    }
-
-    /// Reset counters (benchmark hygiene).
-    pub fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
-    /// Arm crash injection: `n` more writes succeed, the next one tears in
-    /// half (shorthand for installing [`FaultPlan::crash_after`]).
-    pub fn fail_after_writes(&mut self, n: u64) {
-        self.set_fault_plan(FaultPlan::crash_after(n));
-    }
-
-    /// Install a fault plan, reviving the disk if it was dead. The write
-    /// trace is cleared when the new plan records one.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+    fn set_fault_plan(&mut self, plan: FaultPlan) {
         if plan.record_trace {
-            self.trace.clear();
             self.io_trace.clear();
         }
         self.plan = plan;
         self.dead = false;
     }
 
-    /// The write trace accumulated so far (with `record_trace` armed),
-    /// clearing it.
-    pub fn take_write_trace(&mut self) -> Vec<WriteRecord> {
-        std::mem::take(&mut self.trace)
-    }
-
-    /// The ordered write/sync trace accumulated so far (with
-    /// `record_trace` armed), clearing it.
-    pub fn take_io_trace(&mut self) -> Vec<IoRecord> {
+    fn take_io_trace(&mut self) -> Vec<IoRecord> {
         std::mem::take(&mut self.io_trace)
     }
 
-    /// Durability barrier. The simulated platter is always "durable", so
-    /// this only counts, traces, and journals — but it fails on a dead disk
-    /// exactly like the file backend, so crash schedules agree.
-    pub fn sync(&mut self) -> GemResult<()> {
-        if self.dead {
-            if let Some(j) = self.journal_on() {
-                j.emit(&JournalEvent::DiskSync { ok: false, backend: "sim".into() });
+    fn is_dead(&self) -> bool {
+        self.dead
+    }
+
+    fn write_track(&mut self, id: TrackId, data: &[u8]) -> GemResult<()> {
+        let size = self.pad.len();
+        let landed = if self.dead {
+            Err(GemError::DiskDead)
+        } else if data.len() > size {
+            Err(GemError::DiskFailure(format!(
+                "data ({} bytes) exceeds track size ({size})",
+                data.len()
+            )))
+        } else if self.plan.crash_after_writes == Some(0) {
+            // Crashing write: a prefix of the *record* lands (a record
+            // smaller than the track still tears — the head lost power
+            // mid-record, not mid-padding) and the disk dies. A `Clean`
+            // tear lands nothing: power died between writes.
+            self.dead = true;
+            let prefix = &data[..self.plan.tear.prefix_len(data.len())];
+            let torn = if prefix.is_empty() { Ok(()) } else { self.medium.write(id, prefix) };
+            torn.and(Err(GemError::DiskFailure("power lost mid-write (torn track)".into())))
+        } else {
+            if let Some(n) = &mut self.plan.crash_after_writes {
+                *n -= 1;
             }
-            return Err(GemError::DiskDead);
+            self.pad[..data.len()].copy_from_slice(data);
+            self.pad[data.len()..].fill(0);
+            self.medium.write(id, &self.pad)
+        };
+        self.meter.wrote(id, landed.is_ok().then_some(size as u64));
+        if landed.is_ok() && self.plan.record_trace {
+            self.io_trace.push(IoRecord::Write { track: id, len: data.len() });
         }
-        self.stats.fsyncs.inc();
-        // The simulated platter syncs instantly; record the (near-zero)
-        // barrier latency anyway so the `storage.disk.fsync_us` stream
-        // exists on both backends and replay rules stay uniform.
-        self.stats.fsync_us.record(0);
-        if let Some(j) = self.journal_on() {
-            j.emit(&JournalEvent::DiskSync { ok: true, backend: "sim".into() });
-            j.emit(&JournalEvent::FsyncLatency { us: 0, backend: "sim".into() });
-        }
+        landed
+    }
+
+    fn read_track(&mut self, id: TrackId) -> GemResult<&[u8]> {
+        let refused = if self.dead {
+            Some(GemError::DiskDead)
+        } else if self.plan.read_fault.as_mut().is_some_and(ReadFault::trips) {
+            Some(GemError::DiskFailure(format!("transient read error on {id:?}")))
+        } else if !self.medium.exists(id) {
+            Some(never_written(id))
+        } else {
+            None
+        };
+        let read = match refused {
+            Some(e) => Err(e),
+            None => self.medium.read(id),
+        };
+        self.meter.read(id, read.is_ok());
+        read
+    }
+
+    fn sync(&mut self) -> GemResult<()> {
+        let us = if self.dead { Err(GemError::DiskDead) } else { self.medium.sync() };
+        self.meter.synced(us.as_ref().ok().copied());
+        us?;
         if self.plan.record_trace {
             self.io_trace.push(IoRecord::Sync);
         }
         Ok(())
     }
 
-    /// Disarm all fault injection and revive the disk (simulates power-up
-    /// after the crash; any torn data remains).
-    pub fn revive(&mut self) {
-        self.plan = FaultPlan::default();
-        self.dead = false;
+    fn track_exists(&self, id: TrackId) -> bool {
+        self.medium.exists(id)
     }
 
-    /// True once a crash has been triggered.
-    pub fn is_dead(&self) -> bool {
-        self.dead
+    fn tracks_beyond(&self, frontier: u32) -> u32 {
+        (frontier..self.medium.slot_count() as u32)
+            .filter(|&i| self.medium.exists(TrackId(i)))
+            .count() as u32
     }
 
-    /// Write an entire track. `data` must fit in the track; short data is
-    /// zero-padded (a track is always written whole).
-    pub fn write_track(&mut self, id: TrackId, data: &[u8]) -> GemResult<()> {
-        if self.dead {
-            self.stats.failed_writes.inc();
-            if let Some(j) = self.journal_on() {
-                j.emit(&JournalEvent::TrackWrite {
-                    track: id.0 as u64,
-                    ok: false,
-                    bytes: 0,
-                    backend: "sim".into(),
-                });
-            }
-            return Err(GemError::DiskDead);
-        }
-        if data.len() > self.track_size {
-            self.stats.failed_writes.inc();
-            if let Some(j) = self.journal_on() {
-                j.emit(&JournalEvent::TrackWrite {
-                    track: id.0 as u64,
-                    ok: false,
-                    bytes: 0,
-                    backend: "sim".into(),
-                });
-            }
-            return Err(GemError::DiskFailure(format!(
-                "data ({} bytes) exceeds track size ({})",
-                data.len(),
-                self.track_size
-            )));
-        }
-        let idx = id.0 as usize;
-        if idx >= self.tracks.len() {
-            self.tracks.resize_with(idx + 1, || None);
-        }
-        let mut buf = vec![0u8; self.track_size].into_boxed_slice();
-        buf[..data.len()].copy_from_slice(data);
-
-        if let Some(n) = self.plan.crash_after_writes {
-            if n == 0 {
-                // Crashing write: a prefix of the *record* reaches the
-                // platter (a record smaller than the track still tears —
-                // the head lost power mid-record, not mid-padding). A
-                // `Clean` tear writes nothing: power died between writes.
-                let prefix = self.plan.tear.prefix_len(data.len()).min(self.track_size);
-                if prefix > 0 {
-                    let old = self.tracks[idx].take();
-                    let mut torn =
-                        old.unwrap_or_else(|| vec![0u8; self.track_size].into_boxed_slice());
-                    torn[..prefix].copy_from_slice(&buf[..prefix]);
-                    self.tracks[idx] = Some(torn);
-                }
-                self.dead = true;
-                self.stats.failed_writes.inc();
-                if let Some(j) = self.journal_on() {
-                    j.emit(&JournalEvent::TrackWrite {
-                        track: id.0 as u64,
-                        ok: false,
-                        bytes: 0,
-                        backend: "sim".into(),
-                    });
-                }
-                return Err(GemError::DiskFailure("power lost mid-write (torn track)".into()));
-            }
-            self.plan.crash_after_writes = Some(n - 1);
-        }
-
-        self.stats.track_writes.inc();
-        self.stats.bytes_written.add(self.track_size as u64);
-        if let Some(j) = self.journal_on() {
-            j.emit(&JournalEvent::TrackWrite {
-                track: id.0 as u64,
-                ok: true,
-                bytes: self.track_size as u64,
-                backend: "sim".into(),
-            });
-        }
-        if self.plan.record_trace {
-            self.trace.push(WriteRecord { track: id, len: data.len() });
-            self.io_trace.push(IoRecord::Write { track: id, len: data.len() });
-        }
-        self.tracks[idx] = Some(buf);
-        Ok(())
-    }
-
-    /// Read an entire track.
-    pub fn read_track(&mut self, id: TrackId) -> GemResult<&[u8]> {
-        if self.dead {
-            self.stats.failed_reads.inc();
-            if let Some(j) = self.journal_on() {
-                j.emit(&JournalEvent::TrackRead {
-                    track: id.0 as u64,
-                    ok: false,
-                    backend: "sim".into(),
-                });
-            }
-            return Err(GemError::DiskDead);
-        }
-        if let Some(fault) = &mut self.plan.read_fault {
-            if fault.after_reads > 0 {
-                fault.after_reads -= 1;
-            } else if fault.count > 0 {
-                fault.count -= 1;
-                self.stats.failed_reads.inc();
-                if let Some(j) = self.journal_on() {
-                    j.emit(&JournalEvent::TrackRead {
-                        track: id.0 as u64,
-                        ok: false,
-                        backend: "sim".into(),
-                    });
-                }
-                return Err(GemError::DiskFailure(format!("transient read error on {id:?}")));
-            }
-        }
-        if self.tracks.get(id.0 as usize).and_then(|t| t.as_ref()).is_none() {
-            self.stats.failed_reads.inc();
-            if let Some(j) = self.journal_on() {
-                j.emit(&JournalEvent::TrackRead {
-                    track: id.0 as u64,
-                    ok: false,
-                    backend: "sim".into(),
-                });
-            }
-            return Err(GemError::DiskFailure(format!("track {id:?} never written")));
-        }
-        self.stats.track_reads.inc();
-        if let Some(j) = self.journal_on() {
-            j.emit(&JournalEvent::TrackRead {
-                track: id.0 as u64,
-                ok: true,
-                backend: "sim".into(),
-            });
-        }
-        Ok(self.tracks[id.0 as usize].as_deref().expect("checked above"))
-    }
-
-    /// True if the track has ever been written.
-    pub fn track_exists(&self, id: TrackId) -> bool {
-        self.tracks.get(id.0 as usize).is_some_and(|t| t.is_some())
-    }
-
-    /// Number of written tracks at or past `frontier` — the orphans a
-    /// recovered root does not reference (shadow writes of a torn commit).
-    pub fn tracks_beyond(&self, frontier: u32) -> u32 {
-        self.tracks.iter().skip(frontier as usize).filter(|t| t.is_some()).count() as u32
+    fn checkpoint(&self) -> GemResult<Box<dyn TrackDisk>> {
+        Ok(Box::new(Faulty {
+            medium: self.medium.checkpoint()?,
+            plan: self.plan.clone(),
+            dead: self.dead,
+            io_trace: self.io_trace.clone(),
+            pad: self.pad.clone(),
+            meter: Meter {
+                counters: self.meter.counters.clone(), // detaches
+                journal: None,
+                backend: M::NAME,
+            },
+        }))
     }
 }
 
-impl TrackDisk for SimDisk {
-    fn backend_name(&self) -> &'static str {
-        "sim"
+/// Counters and flight recorder of one disk. Every operation moves exactly
+/// one counter (a failed sync moves none) and emits the matching journal
+/// event, so replaying the journal reproduces the counters.
+#[derive(Debug)]
+struct Meter {
+    counters: DiskCounters,
+    /// Attached to the primary replica only (the one whose counters the
+    /// registry binds); a checkpoint drops it.
+    journal: Option<Journal>,
+    backend: &'static str,
+}
+
+impl Meter {
+    #[inline]
+    fn journal(&self) -> Option<&Journal> {
+        self.journal.as_ref().filter(|j| j.enabled())
     }
-    fn track_size(&self) -> usize {
-        SimDisk::track_size(self)
+
+    /// A track write: `Some(bytes)` landed, `None` failed.
+    fn wrote(&self, id: TrackId, bytes: Option<u64>) {
+        match bytes {
+            Some(b) => {
+                self.counters.track_writes.inc();
+                self.counters.bytes_written.add(b);
+            }
+            None => self.counters.failed_writes.inc(),
+        }
+        if let Some(j) = self.journal() {
+            j.emit(&JournalEvent::TrackWrite {
+                track: id.0 as u64,
+                ok: bytes.is_some(),
+                bytes: bytes.unwrap_or(0),
+                backend: self.backend.into(),
+            });
+        }
     }
-    fn tracks_in_use(&self) -> usize {
-        SimDisk::tracks_in_use(self)
+
+    fn read(&self, id: TrackId, ok: bool) {
+        let cell = if ok { &self.counters.track_reads } else { &self.counters.failed_reads };
+        cell.inc();
+        if let Some(j) = self.journal() {
+            j.emit(&JournalEvent::TrackRead {
+                track: id.0 as u64,
+                ok,
+                backend: self.backend.into(),
+            });
+        }
     }
-    fn stats(&self) -> DiskStats {
-        SimDisk::stats(self)
-    }
-    fn counters(&self) -> DiskCounters {
-        SimDisk::counters(self)
-    }
-    fn reset_stats(&mut self) {
-        SimDisk::reset_stats(self)
-    }
-    fn attach_journal(&mut self, journal: Journal) {
-        SimDisk::attach_journal(self, journal)
-    }
-    fn set_fault_plan(&mut self, plan: FaultPlan) {
-        SimDisk::set_fault_plan(self, plan)
-    }
-    fn take_write_trace(&mut self) -> Vec<WriteRecord> {
-        SimDisk::take_write_trace(self)
-    }
-    fn take_io_trace(&mut self) -> Vec<IoRecord> {
-        SimDisk::take_io_trace(self)
-    }
-    fn revive(&mut self) {
-        SimDisk::revive(self)
-    }
-    fn is_dead(&self) -> bool {
-        SimDisk::is_dead(self)
-    }
-    fn write_track(&mut self, id: TrackId, data: &[u8]) -> GemResult<()> {
-        SimDisk::write_track(self, id, data)
-    }
-    fn read_track(&mut self, id: TrackId) -> GemResult<&[u8]> {
-        SimDisk::read_track(self, id)
-    }
-    fn sync(&mut self) -> GemResult<()> {
-        SimDisk::sync(self)
-    }
-    fn track_exists(&self, id: TrackId) -> bool {
-        SimDisk::track_exists(self, id)
-    }
-    fn tracks_beyond(&self, frontier: u32) -> u32 {
-        SimDisk::tracks_beyond(self, frontier)
-    }
-    fn clone_disk(&self) -> Box<dyn TrackDisk> {
-        Box::new(self.clone())
+
+    /// A durability barrier: `Some(us)` succeeded after `us` microseconds.
+    fn synced(&self, us: Option<u64>) {
+        if let Some(us) = us {
+            self.counters.fsyncs.inc();
+            self.counters.fsync_us.record(us);
+        }
+        if let Some(j) = self.journal() {
+            j.emit(&JournalEvent::DiskSync { ok: us.is_some(), backend: self.backend.into() });
+            if let Some(us) = us {
+                j.emit(&JournalEvent::FsyncLatency { us, backend: self.backend.into() });
+            }
+        }
     }
 }
 
@@ -692,17 +654,6 @@ pub struct DiskArray {
     group_sizes: Histogram,
 }
 
-impl Clone for DiskArray {
-    fn clone(&self) -> DiskArray {
-        // A cloned array is a checkpoint: its histogram detaches, matching
-        // `DiskCounters` semantics.
-        DiskArray {
-            replicas: self.replicas.iter().map(|d| d.clone_disk()).collect(),
-            group_sizes: self.group_sizes.detached_copy(),
-        }
-    }
-}
-
 impl DiskArray {
     /// `n` mirrored simulated replicas of `track_size` tracks.
     pub fn new(track_size: usize, n: usize) -> DiskArray {
@@ -715,11 +666,6 @@ impl DiskArray {
         }
     }
 
-    /// Wrap an existing disk as a single-replica array (recovery path).
-    pub fn from_disk(disk: SimDisk) -> DiskArray {
-        DiskArray::from_backend(Box::new(disk))
-    }
-
     /// Wrap any [`TrackDisk`] backend as a single-replica array.
     pub fn from_backend(disk: Box<dyn TrackDisk>) -> DiskArray {
         DiskArray { replicas: vec![disk], group_sizes: Histogram::new() }
@@ -729,6 +675,16 @@ impl DiskArray {
     pub fn from_backends(replicas: Vec<Box<dyn TrackDisk>>) -> DiskArray {
         assert!(!replicas.is_empty());
         DiskArray { replicas, group_sizes: Histogram::new() }
+    }
+
+    /// Checkpoint every replica: an independent array whose counters and
+    /// group-size histogram detach. Fails if any replica cannot be copied
+    /// (on the file backend, an `fs::copy` that fails).
+    pub fn checkpoint(&self) -> GemResult<DiskArray> {
+        Ok(DiskArray {
+            replicas: self.replicas.iter().map(|d| d.checkpoint()).collect::<GemResult<_>>()?,
+            group_sizes: self.group_sizes.detached_copy(),
+        })
     }
 
     /// The primary replica's backend identifier (`"sim"` / `"file"`).
@@ -767,40 +723,32 @@ impl DiskArray {
         &mut *self.replicas[i]
     }
 
+    /// Run `op` on every replica; it succeeds if *any* replica did,
+    /// otherwise the last replica's error stands.
+    fn on_every_replica(
+        &mut self,
+        mut op: impl FnMut(&mut dyn TrackDisk) -> GemResult<()>,
+    ) -> GemResult<()> {
+        let mut outcome = Err(GemError::DiskFailure("no replicas".into()));
+        for d in &mut self.replicas {
+            let r = op(&mut **d);
+            if outcome.is_err() {
+                outcome = r;
+            }
+        }
+        outcome
+    }
+
     /// Write to all live replicas. Succeeds if *any* replica took the write;
     /// the caller learns of degraded redundancy via [`Self::live_replicas`].
     pub fn write_track(&mut self, id: TrackId, data: &[u8]) -> GemResult<()> {
-        let mut wrote = 0;
-        let mut last_err = None;
-        for d in &mut self.replicas {
-            match d.write_track(id, data) {
-                Ok(()) => wrote += 1,
-                Err(e) => last_err = Some(e),
-            }
-        }
-        if wrote > 0 {
-            Ok(())
-        } else {
-            Err(last_err.unwrap_or_else(|| GemError::DiskFailure("no replicas".into())))
-        }
+        self.on_every_replica(|d| d.write_track(id, data))
     }
 
     /// Durability barrier across the array. Mirrors the write semantics:
     /// the commit survives if *any* replica made it durable.
     pub fn sync(&mut self) -> GemResult<()> {
-        let mut synced = 0;
-        let mut last_err = None;
-        for d in &mut self.replicas {
-            match d.sync() {
-                Ok(()) => synced += 1,
-                Err(e) => last_err = Some(e),
-            }
-        }
-        if synced > 0 {
-            Ok(())
-        } else {
-            Err(last_err.unwrap_or_else(|| GemError::DiskFailure("no replicas".into())))
-        }
+        self.on_every_replica(|d| d.sync())
     }
 
     /// Read from the first replica able to serve the track. Exactly one
@@ -813,7 +761,7 @@ impl DiskArray {
         {
             Some(i) => self.replicas[i].read_track(id),
             None if self.live_replicas() == 0 => Err(GemError::DiskDead),
-            None => Err(GemError::DiskFailure(format!("track {id:?} never written"))),
+            None => Err(never_written(id)),
         }
     }
 
@@ -832,13 +780,13 @@ impl DiskArray {
         self.replicas.iter().filter(|d| !d.is_dead()).count()
     }
 
-    /// Combined stats of replica 0 (the primary), for benchmarks.
+    /// Stats of replica 0 (the primary), for benchmarks.
     pub fn stats(&self) -> DiskStats {
-        self.replicas[0].stats()
+        self.counters().snapshot()
     }
 
-    /// The primary replica's live counter cells (for registry binding).
-    pub fn counters(&self) -> DiskCounters {
+    /// The primary replica's live counter cells.
+    pub fn counters(&self) -> &DiskCounters {
         self.replicas[0].counters()
     }
 
@@ -851,8 +799,8 @@ impl DiskArray {
 
     /// Reset all replica counters and the group-size histogram.
     pub fn reset_stats(&mut self) {
-        for d in &mut self.replicas {
-            d.reset_stats();
+        for d in &self.replicas {
+            d.counters().reset();
         }
         self.group_sizes.reset();
     }
@@ -861,73 +809,88 @@ impl DiskArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::file_disk::tests::scratch;
+
+    /// One simulated and one file disk: every behaviour below is one body
+    /// checked on both media.
+    fn both(track_size: usize) -> [Box<dyn TrackDisk>; 2] {
+        [Box::new(SimDisk::new(track_size)), Box::new(scratch(track_size))]
+    }
 
     #[test]
     fn write_then_read_roundtrip() {
-        let mut d = SimDisk::new(256);
-        d.write_track(TrackId(3), b"hello tracks").unwrap();
-        let back = d.read_track(TrackId(3)).unwrap();
-        assert_eq!(&back[..12], b"hello tracks");
-        assert_eq!(back.len(), 256, "tracks are read whole");
-        assert!(back[12..].iter().all(|&b| b == 0), "zero padded");
+        for mut d in both(256) {
+            d.write_track(TrackId(3), b"hello tracks").unwrap();
+            let back = d.read_track(TrackId(3)).unwrap();
+            assert_eq!(&back[..12], b"hello tracks");
+            assert_eq!(back.len(), 256, "tracks are read whole");
+            assert!(back[12..].iter().all(|&b| b == 0), "zero padded");
+        }
     }
 
     #[test]
     fn stats_count_accesses() {
-        let mut d = SimDisk::new(256);
-        d.write_track(TrackId(0), b"x").unwrap();
-        d.write_track(TrackId(1), b"y").unwrap();
-        let _ = d.read_track(TrackId(0)).unwrap();
-        let s = d.stats();
-        assert_eq!(s.track_writes, 2);
-        assert_eq!(s.track_reads, 1);
-        assert_eq!(s.bytes_written, 512);
+        for mut d in both(256) {
+            d.write_track(TrackId(0), b"x").unwrap();
+            d.write_track(TrackId(1), b"y").unwrap();
+            let _ = d.read_track(TrackId(0)).unwrap();
+            let s = d.counters().snapshot();
+            assert_eq!((s.track_writes, s.track_reads, s.bytes_written), (2, 1, 512));
+        }
     }
 
     #[test]
     fn oversized_write_rejected() {
-        let mut d = SimDisk::new(64);
-        assert!(d.write_track(TrackId(0), &[0u8; 65]).is_err());
-        assert!(d.write_track(TrackId(0), &[0u8; 64]).is_ok());
+        for mut d in both(64) {
+            assert!(d.write_track(TrackId(0), &[0u8; 65]).is_err());
+            assert!(!d.track_exists(TrackId(0)), "{}: nothing landed", d.backend_name());
+            assert!(d.write_track(TrackId(0), &[0u8; 64]).is_ok());
+            let s = d.counters().snapshot();
+            assert_eq!((s.track_writes, s.failed_writes), (1, 1), "{}", d.backend_name());
+        }
     }
 
     #[test]
     fn unwritten_track_read_fails() {
-        let mut d = SimDisk::new(256);
-        assert!(d.read_track(TrackId(9)).is_err());
-        assert!(!d.track_exists(TrackId(9)));
+        for mut d in both(256) {
+            assert!(d.read_track(TrackId(9)).is_err());
+            assert!(!d.track_exists(TrackId(9)));
+            assert_eq!(d.counters().snapshot().failed_reads, 1, "{}", d.backend_name());
+        }
     }
 
     #[test]
     fn crash_injection_tears_and_kills() {
-        let mut d = SimDisk::new(64);
-        d.write_track(TrackId(0), &[0xAA; 64]).unwrap();
-        d.fail_after_writes(1);
-        d.write_track(TrackId(1), &[0xBB; 64]).unwrap(); // the 1 allowed write
-        let err = d.write_track(TrackId(0), &[0xCC; 64]); // tears
-        assert!(err.is_err());
-        assert!(d.is_dead());
-        assert!(matches!(d.read_track(TrackId(0)), Err(GemError::DiskDead)), "disk down");
-        d.revive();
-        let t0 = d.read_track(TrackId(0)).unwrap().to_vec();
-        assert_eq!(&t0[..32], &[0xCC; 32], "first half of torn write landed");
-        assert_eq!(&t0[32..], &[0xAA; 32], "second half is the old data");
+        for mut d in both(64) {
+            d.write_track(TrackId(0), &[0xAA; 64]).unwrap();
+            d.fail_after_writes(1);
+            d.write_track(TrackId(1), &[0xBB; 64]).unwrap(); // the 1 allowed write
+            let err = d.write_track(TrackId(0), &[0xCC; 64]); // tears
+            assert!(err.is_err());
+            assert!(d.is_dead());
+            assert!(matches!(d.read_track(TrackId(0)), Err(GemError::DiskDead)), "disk down");
+            d.revive();
+            let t0 = d.read_track(TrackId(0)).unwrap().to_vec();
+            assert_eq!(&t0[..32], &[0xCC; 32], "first half of torn write landed");
+            assert_eq!(&t0[32..], &[0xAA; 32], "second half is the old data");
+        }
     }
 
     #[test]
     fn failed_ops_counted_separately() {
-        let mut d = SimDisk::new(64);
-        d.write_track(TrackId(0), &[0xAA; 64]).unwrap();
-        d.fail_after_writes(0);
-        assert!(d.write_track(TrackId(0), &[0xCC; 64]).is_err()); // torn
-        assert!(d.write_track(TrackId(1), b"x").is_err()); // dead
-        assert!(d.read_track(TrackId(0)).is_err()); // dead
-        let s = d.stats();
-        assert_eq!(s.track_writes, 1, "only the successful write counts");
-        assert_eq!(s.failed_writes, 2, "torn + dead write");
-        assert_eq!(s.track_reads, 0);
-        assert_eq!(s.failed_reads, 1);
-        assert_eq!(s.bytes_written, 64);
+        for mut d in both(64) {
+            d.write_track(TrackId(0), &[0xAA; 64]).unwrap();
+            d.fail_after_writes(0);
+            assert!(d.write_track(TrackId(0), &[0xCC; 64]).is_err()); // torn
+            assert!(d.write_track(TrackId(1), b"x").is_err()); // dead
+            assert!(d.read_track(TrackId(0)).is_err()); // dead
+            let s = d.counters().snapshot();
+            assert_eq!(s.track_writes, 1, "only the successful write counts");
+            assert_eq!(s.failed_writes, 2, "torn + dead write");
+            assert_eq!(s.track_reads, 0);
+            assert_eq!(s.failed_reads, 1);
+            assert_eq!(s.bytes_written, 64);
+        }
     }
 
     #[test]
@@ -941,67 +904,118 @@ mod tests {
             (TearClass::Half, 20),
             (TearClass::Tail, 39),
         ] {
-            let mut d = SimDisk::new(64);
-            d.write_track(TrackId(0), &[0xAA; 64]).unwrap();
-            d.set_fault_plan(FaultPlan {
-                crash_after_writes: Some(0),
-                tear,
-                ..FaultPlan::default()
-            });
-            assert!(d.write_track(TrackId(0), &[0xCC; 40]).is_err());
-            assert!(d.is_dead());
-            d.revive();
-            let t = d.read_track(TrackId(0)).unwrap();
-            assert!(t[..want_new].iter().all(|&b| b == 0xCC), "{tear:?}: new prefix");
-            assert!(t[want_new..40].iter().all(|&b| b == 0xAA), "{tear:?}: old suffix");
+            for mut d in both(64) {
+                let ctx = format!("{tear:?} on {}", d.backend_name());
+                d.write_track(TrackId(0), &[0xAA; 64]).unwrap();
+                d.set_fault_plan(FaultPlan {
+                    crash_after_writes: Some(0),
+                    tear,
+                    ..FaultPlan::default()
+                });
+                assert!(d.write_track(TrackId(0), &[0xCC; 40]).is_err());
+                assert!(d.is_dead());
+                d.revive();
+                let t = d.read_track(TrackId(0)).unwrap();
+                assert!(t[..want_new].iter().all(|&b| b == 0xCC), "{ctx}: new prefix");
+                assert!(t[want_new..40].iter().all(|&b| b == 0xAA), "{ctx}: old suffix");
+            }
         }
     }
 
     #[test]
     fn transient_read_fault_window() {
-        let mut d = SimDisk::new(64);
-        d.write_track(TrackId(0), b"data").unwrap();
-        d.set_fault_plan(FaultPlan {
-            read_fault: Some(ReadFault { after_reads: 1, count: 2 }),
-            ..FaultPlan::default()
-        });
-        assert!(d.read_track(TrackId(0)).is_ok(), "first read succeeds");
-        assert!(d.read_track(TrackId(0)).is_err(), "window open");
-        assert!(d.read_track(TrackId(0)).is_err(), "window open");
-        assert!(d.read_track(TrackId(0)).is_ok(), "window closed");
-        assert!(!d.is_dead(), "transient faults never kill the disk");
-        let s = d.stats();
-        assert_eq!((s.track_reads, s.failed_reads), (2, 2));
+        for mut d in both(64) {
+            d.write_track(TrackId(0), b"\x01data").unwrap();
+            d.set_fault_plan(FaultPlan {
+                read_fault: Some(ReadFault { after_reads: 1, count: 2 }),
+                ..FaultPlan::default()
+            });
+            assert!(d.read_track(TrackId(0)).is_ok(), "first read succeeds");
+            assert!(d.read_track(TrackId(0)).is_err(), "window open");
+            assert!(d.read_track(TrackId(0)).is_err(), "window open");
+            assert!(d.read_track(TrackId(0)).is_ok(), "window closed");
+            assert!(!d.is_dead(), "transient faults never kill the disk");
+            let s = d.counters().snapshot();
+            assert_eq!((s.track_reads, s.failed_reads), (2, 2), "{}", d.backend_name());
+        }
     }
 
     #[test]
-    fn write_trace_records_successful_writes() {
-        let mut d = SimDisk::new(64);
-        d.set_fault_plan(FaultPlan { crash_after_writes: Some(2), ..FaultPlan::trace() });
-        d.write_track(TrackId(3), &[1; 10]).unwrap();
-        d.write_track(TrackId(4), &[2; 20]).unwrap();
-        assert!(d.write_track(TrackId(5), &[3; 30]).is_err(), "crash: not traced");
-        let trace = d.take_write_trace();
-        assert_eq!(
-            trace,
-            vec![
-                WriteRecord { track: TrackId(3), len: 10 },
-                WriteRecord { track: TrackId(4), len: 20 },
-            ]
-        );
-        assert!(d.take_write_trace().is_empty(), "trace drained");
+    fn io_trace_orders_writes_and_syncs() {
+        for mut d in both(64) {
+            d.set_fault_plan(FaultPlan { crash_after_writes: Some(3), ..FaultPlan::trace() });
+            d.write_track(TrackId(2), &[1; 10]).unwrap();
+            d.write_track(TrackId(3), &[2; 20]).unwrap();
+            d.sync().unwrap();
+            d.write_track(TrackId(0), &[3; 30]).unwrap();
+            d.sync().unwrap();
+            assert!(d.write_track(TrackId(5), &[4; 40]).is_err(), "crash: not traced");
+            assert!(d.sync().is_err(), "dead: not traced");
+            assert_eq!(
+                d.take_io_trace(),
+                vec![
+                    IoRecord::Write { track: TrackId(2), len: 10 },
+                    IoRecord::Write { track: TrackId(3), len: 20 },
+                    IoRecord::Sync,
+                    IoRecord::Write { track: TrackId(0), len: 30 },
+                    IoRecord::Sync,
+                ],
+                "{}",
+                d.backend_name()
+            );
+            assert!(d.take_io_trace().is_empty(), "trace drained");
+        }
     }
 
     #[test]
     fn tracks_beyond_counts_orphans() {
-        let mut d = SimDisk::new(64);
-        d.write_track(TrackId(0), b"a").unwrap();
-        d.write_track(TrackId(4), b"b").unwrap();
-        d.write_track(TrackId(7), b"c").unwrap();
-        assert_eq!(d.tracks_beyond(0), 3);
-        assert_eq!(d.tracks_beyond(4), 2);
-        assert_eq!(d.tracks_beyond(5), 1);
-        assert_eq!(d.tracks_beyond(8), 0);
+        for mut d in both(64) {
+            d.write_track(TrackId(0), b"a").unwrap();
+            d.write_track(TrackId(4), b"b").unwrap();
+            d.write_track(TrackId(7), b"c").unwrap();
+            assert_eq!(d.tracks_in_use(), 3, "{}", d.backend_name());
+            assert_eq!(d.tracks_beyond(0), 3);
+            assert_eq!(d.tracks_beyond(4), 2);
+            assert_eq!(d.tracks_beyond(5), 1);
+            assert_eq!(d.tracks_beyond(8), 0);
+            assert_eq!(d.tracks_beyond(1_000), 0, "{}: past the medium", d.backend_name());
+        }
+    }
+
+    #[test]
+    fn fsyncs_counted_and_dead_disk_refuses_sync() {
+        for mut d in both(64) {
+            d.write_track(TrackId(0), b"\x01x").unwrap();
+            d.sync().unwrap();
+            d.sync().unwrap();
+            assert_eq!(d.counters().snapshot().fsyncs, 2);
+            assert_eq!(d.counters().fsync_us.snapshot().count, 2, "one latency per barrier");
+            if d.backend_name() == "sim" {
+                assert_eq!(d.counters().fsync_us.snapshot().sum, 0, "the sim syncs instantly");
+            }
+            d.set_fault_plan(FaultPlan::crash_after(0));
+            assert!(d.write_track(TrackId(1), b"\x01y").is_err());
+            assert!(matches!(d.sync(), Err(GemError::DiskDead)));
+            assert_eq!(d.counters().snapshot().fsyncs, 2, "a dead disk's sync moves no counter");
+        }
+    }
+
+    #[test]
+    fn checkpoint_is_independent() {
+        for mut d in both(64) {
+            d.write_track(TrackId(2), b"\x01before").unwrap();
+            let mut ck = d.checkpoint().unwrap();
+            // Diverge: the original moves on, the checkpoint must not see it.
+            d.write_track(TrackId(3), b"\x01after").unwrap();
+            assert!(ck.track_exists(TrackId(2)));
+            assert!(!ck.track_exists(TrackId(3)), "{}: checkpoint froze", d.backend_name());
+            assert_eq!(ck.read_track(TrackId(2)).unwrap()[..7], b"\x01before"[..]);
+            // Counters detached: each side moved only its own.
+            assert_eq!(d.counters().snapshot().track_writes, 2);
+            assert_eq!(d.counters().snapshot().track_reads, 0);
+            assert_eq!(ck.counters().snapshot().track_writes, 1);
+            assert_eq!(ck.counters().snapshot().track_reads, 1);
+        }
     }
 
     #[test]
@@ -1024,22 +1038,23 @@ mod tests {
         let mut a = DiskArray::new(128, 2);
         a.write_track(TrackId(0), b"counted once").unwrap();
         a.reset_stats();
+        let mirror_reads = |a: &mut DiskArray| a.replica_mut(1).counters().snapshot().track_reads;
         for _ in 0..5 {
             a.read_track(TrackId(0)).unwrap();
         }
         assert_eq!(a.stats().track_reads, 5, "primary serves and counts each read once");
-        assert_eq!(a.replica_mut(1).stats().track_reads, 0, "mirror untouched");
+        assert_eq!(mirror_reads(&mut a), 0, "mirror untouched");
 
         // Failed lookups (missing track) charge no replica either.
         assert!(a.read_track(TrackId(7)).is_err());
         assert_eq!(a.stats().track_reads, 5);
-        assert_eq!(a.replica_mut(1).stats().track_reads, 0);
+        assert_eq!(mirror_reads(&mut a), 0);
 
         // After the primary dies, the mirror serves — again one read each.
         a.replica_mut(0).fail_after_writes(0);
         let _ = a.replica_mut(0).write_track(TrackId(1), b"boom");
         a.read_track(TrackId(0)).unwrap();
-        assert_eq!(a.replica_mut(1).stats().track_reads, 1);
+        assert_eq!(mirror_reads(&mut a), 1);
     }
 
     #[test]

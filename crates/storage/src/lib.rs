@@ -6,10 +6,11 @@
 //! Disk access will always be by entire tracks, as a track is the natural
 //! unit of physical access for a disk."
 //!
-//! The paper's implementation ran on special-purpose hardware; here the disk
-//! is simulated ([`SimDisk`]) with whole-track I/O, read/write accounting,
-//! crash injection and torn-write corruption — the quantities the paper's
-//! storage claims are about. On top of it:
+//! The paper's implementation ran on special-purpose hardware; here a
+//! whole-track [`Medium`] — in memory ([`SimDisk`]) or a real file
+//! ([`FaultFile`]) — sits under one fault layer ([`Faulty`]) that does the
+//! read/write accounting, crash injection and torn-write corruption — the
+//! quantities the paper's storage claims are about. On top of it:
 //!
 //! * [`PersistentObject`] — the on-disk object representation: "objects are
 //!   broken into elements and associations" with full histories;
@@ -55,8 +56,8 @@ pub use commit::RecoveryReport;
 pub use crashpoint::{CrashSchedule, MatrixBackend, MatrixReport, Workload};
 pub use directory::{DirKey, Directory, DirectorySpec};
 pub use disk::{
-    DiskArray, DiskCounters, DiskStats, FaultPlan, IoRecord, ReadFault, SimDisk, TearClass,
-    TrackDisk, TrackId, WriteRecord, TRACK_HEADER,
+    DiskArray, DiskCounters, DiskStats, FaultPlan, Faulty, IoRecord, Medium, RamDisk, ReadFault,
+    SimDisk, TearClass, TrackDisk, TrackId, TRACK_HEADER,
 };
 pub use file_disk::{FaultFile, FileDisk};
 pub use pobj::{ObjectDelta, PersistentObject};

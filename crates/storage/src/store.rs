@@ -813,7 +813,7 @@ impl PermanentStore {
 
     /// Live primary-disk counter cells (for registry binding).
     pub fn disk_counters(&self) -> DiskCounters {
-        self.disk.lock().counters()
+        self.disk.lock().counters().share()
     }
 
     /// The live safe-write-group size histogram (shared cells, for
@@ -1171,7 +1171,8 @@ mod tests {
             let d = delta(g, vec![(ElemName::Int(1), PRef::int(i as i64))], false);
             store.commit_batch(t(2 + i), &[d]).unwrap();
             // A reopening rebuilds exactly the writer's table and log.
-            let reopened = PermanentStore::open(store.disk_mut().clone(), 16).unwrap();
+            let reopened =
+                PermanentStore::open(store.disk_mut().checkpoint().unwrap(), 16).unwrap();
             assert_eq!(*reopened.locations.read(), *store.locations.read(), "after commit {i}");
             let (a, b) = (reopened.writer.lock(), store.writer.lock());
             assert_eq!(a.chain.bytes, b.chain.bytes, "after commit {i}");

@@ -182,7 +182,7 @@ fn full_system_crash_sweep() {
     let mut checkpoints = Vec::new();
     let mut times = Vec::new();
     for script in &scripts {
-        checkpoints.push(gs.database().with_disk(|d| d.clone()));
+        checkpoints.push(gs.database().with_disk(|d| d.checkpoint()).unwrap());
         s.run(script).unwrap();
         times.push(s.commit().unwrap());
     }
@@ -202,24 +202,25 @@ fn full_system_crash_sweep() {
     let mut points = 0u64;
     for k in 1..scripts.len() {
         let writes = {
-            let mut disk = checkpoints[k].clone();
+            let mut disk = checkpoints[k].checkpoint().unwrap();
             disk.replica_mut(0).revive();
             disk.replica_mut(0).set_fault_plan(FaultPlan::trace());
             let gs = GemStone::open(disk, 32).unwrap();
             let mut s = gs.login("system").unwrap();
             gs.database().with_disk(|d| {
-                d.replica_mut(0).take_write_trace();
+                d.replica_mut(0).take_io_trace();
             });
             s.run(scripts[k]).unwrap();
             s.commit().unwrap();
-            gs.database().with_disk(|d| d.replica_mut(0).take_write_trace().len() as u64)
+            let trace = gs.database().with_disk(|d| d.replica_mut(0).take_io_trace());
+            trace.iter().filter(|r| matches!(r, IoRecord::Write { .. })).count() as u64
         };
         assert!(writes >= 2, "commit {k} safe-writes data and a root");
         for write in 0..writes {
             for tear in [TearClass::Half, TearClass::HeaderSum] {
                 points += 1;
                 let ctx = format!("commit {k}, write {write}, {tear:?}");
-                let mut disk = checkpoints[k].clone();
+                let mut disk = checkpoints[k].checkpoint().unwrap();
                 disk.replica_mut(0).revive();
                 let gs = GemStone::open(disk, 32).unwrap_or_else(|e| panic!("{ctx}: {e}"));
                 let mut s = gs.login("system").unwrap();

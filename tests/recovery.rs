@@ -2,7 +2,7 @@
 //! system — a crash anywhere inside a commit group leaves the previous
 //! committed state intact, and mirrored replicas survive single-disk loss.
 
-use gemstone::{Database, FaultPlan, GemStone, ReadFault, StoreConfig, TearClass};
+use gemstone::{Database, FaultPlan, GemStone, IoRecord, ReadFault, StoreConfig, TearClass};
 
 fn small_cfg() -> StoreConfig {
     StoreConfig { track_size: 1024, cache_tracks: 32, replicas: 1 }
@@ -90,7 +90,7 @@ fn crash_during_recovery_double_fault() {
     disk.replica_mut(0).revive();
 
     for fault_at_read in [0u64, 2] {
-        let mut d = disk.clone();
+        let mut d = disk.checkpoint().unwrap();
         d.replica_mut(0).set_fault_plan(FaultPlan {
             read_fault: Some(ReadFault { after_reads: fault_at_read, count: 1 }),
             ..FaultPlan::default()
@@ -127,7 +127,8 @@ fn torn_write_inside_track_header() {
             gs.database().with_disk(|d| d.replica_mut(0).set_fault_plan(FaultPlan::trace()));
             s.run("D at: #v put: 'second'").unwrap();
             s.commit().unwrap();
-            gs.database().with_disk(|d| d.replica_mut(0).take_write_trace().len() as u64)
+            let trace = gs.database().with_disk(|d| d.replica_mut(0).take_io_trace());
+            trace.iter().filter(|r| matches!(r, IoRecord::Write { .. })).count() as u64
         };
         assert!(writes >= 2, "commit writes data tracks then the root");
 
