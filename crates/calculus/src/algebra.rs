@@ -1,4 +1,4 @@
-//! The set algebra and its evaluator.
+//! The set algebra and its block-at-a-time executor.
 //!
 //! Operators are *dependent*: a scan's domain term may reference variables
 //! bound to its left, which is what lets the algebra realize calculus ranges
@@ -7,107 +7,267 @@
 //! [`AlgExpr::HashJoin`] operator instead, so two 1 000-element sets join in
 //! O(n + m) row visits rather than the nested loop's O(n·m).
 //!
-//! Evaluation *streams*: every operator pushes bindings into a sink instead
-//! of materializing intermediate `Vec<Binding>`s, and a binding is an
-//! immutable [`Env`] chain extended in O(1) per bound variable — join
-//! fan-out shares the common prefix instead of deep-cloning a row per
-//! output binding. [`PlanStats`] counts what every operator touched, which
-//! is how the benchmarks verify complexity claims by counters rather than
-//! wall clock.
+//! Evaluation works a *block* at a time: one column of [`Oop`]s per bound
+//! variable, whose rows are the member list one `elements()` or directory
+//! call returned, so there is no block-size constant. Every operator pushes
+//! blocks into a sink. A comparison between paths, variables and constants
+//! is one column read per path through [`QueryContext::elem_column`] and a
+//! compare loop that keeps the passing rows; a fetched path column travels
+//! with the block, so the result template does not read it again. Any other
+//! predicate runs per row, through an [`EnvRead`] view of (block, row). A
+//! dependent [`AlgExpr::NestJoin`] evaluates its right side once per left
+//! row, with that row as the outer bindings. Results come out in
+//! nested-loop order of the plan's scans: a hash join emits each probe
+//! row's matches in build order. [`PlanStats`] counts what every operator
+//! touched, row by row, which is how the benchmarks verify complexity
+//! claims by counters rather than wall clock.
 
-use crate::ast::{self, EnvRead, Pred, Query, Term, VarId};
-use crate::QueryContext;
-use gemstone_object::{GemResult, Oop, ValueKey};
+use crate::ast::{self, CmpOp, EnvRead, Pred, Query, Term, VarId};
+use crate::{JoinKey, QueryContext};
+use gemstone_object::{ElemName, GemResult, Oop};
 use std::collections::HashMap;
-use std::rc::Rc;
 
-/// A (partial) environment as a dense row; the boundary representation
-/// handed to callers of [`eval_algebra`].
-pub type Binding = Vec<Oop>;
-
-/// An immutable binding environment: a persistent chain of
-/// (variable, value) pairs. `bind` is O(1) and shares the tail with the
-/// parent, so a join producing k outputs from one left row allocates k
-/// nodes, not k full row copies.
-#[derive(Debug, Clone, Default)]
-pub struct Env {
-    node: Option<Rc<EnvNode>>,
+/// One block of bindings: a column per variable bound inside the operator
+/// that made it, all `len` long, plus the path columns already fetched for
+/// these rows. Paths borrow their names from the plan or query, which
+/// outlive the evaluation.
+#[derive(Debug, Default)]
+struct Block<'p> {
+    len: usize,
+    vars: Vec<(VarId, Vec<Oop>)>,
+    paths: Vec<(VarId, &'p [ElemName], Vec<Oop>)>,
 }
 
-#[derive(Debug)]
-struct EnvNode {
-    var: u16,
-    val: Oop,
-    parent: Option<Rc<EnvNode>>,
-}
-
-impl Env {
-    /// The empty environment (every variable reads as nil).
-    pub fn empty() -> Env {
-        Env { node: None }
+impl<'p> Block<'p> {
+    /// `var` bound to each member, in order.
+    fn scan(var: VarId, members: Vec<Oop>) -> Block<'p> {
+        Block { len: members.len(), vars: vec![(var, members)], paths: Vec::new() }
     }
 
-    /// Extend with `var = val` (shadowing any earlier binding of `var`).
-    pub fn bind(&self, var: VarId, val: Oop) -> Env {
-        Env { node: Some(Rc::new(EnvNode { var: var.0, val, parent: self.node.clone() })) }
+    fn var(&self, var: VarId) -> Option<usize> {
+        self.vars.iter().position(|(v, _)| *v == var)
     }
 
-    /// The bindings added on top of `base`, oldest first. `base` must be a
-    /// tail of `self` (which the evaluator guarantees).
-    fn delta_since(&self, base: &Env) -> Vec<(u16, Oop)> {
-        let stop = base.node.as_ref().map(Rc::as_ptr);
-        let mut out = Vec::new();
-        let mut cur = self.node.as_ref();
-        while let Some(n) = cur {
-            if Some(Rc::as_ptr(n)) == stop {
-                break;
-            }
-            out.push((n.var, n.val));
-            cur = n.parent.as_ref();
+    /// The rows at `rows`, in that order, of every column.
+    fn gather(&self, rows: &[u32]) -> Block<'p> {
+        let pick = |col: &[Oop]| rows.iter().map(|&r| col[r as usize]).collect();
+        Block {
+            len: rows.len(),
+            vars: self.vars.iter().map(|(v, c)| (*v, pick(c))).collect(),
+            paths: self.paths.iter().map(|(v, p, c)| (*v, *p, pick(c))).collect(),
         }
-        out.reverse();
-        out
     }
 
-    /// Replay a recorded delta on top of `self`.
-    fn bind_delta(&self, delta: &[(u16, Oop)]) -> Env {
-        let mut env = self.clone();
-        for &(var, val) in delta {
-            env = env.bind(VarId(var), val);
+    /// Keep the rows whose flag is set; `None` when none is.
+    fn filter(self, keep: &[bool]) -> Option<Block<'p>> {
+        let rows: Vec<u32> = (0..self.len as u32).filter(|&r| keep[r as usize]).collect();
+        match rows.len() {
+            0 => None,
+            n if n == self.len => Some(self),
+            _ => Some(self.gather(&rows)),
+        }
+    }
+
+    /// `outer` with this block's row `r` bound on top: the bindings a
+    /// dependent right side sees.
+    fn outer_row(&self, r: usize, outer: &[Oop]) -> Vec<Oop> {
+        let mut env = outer.to_vec();
+        for (v, col) in &self.vars {
+            let i = v.0 as usize;
+            if env.len() <= i {
+                env.resize(i + 1, Oop::NIL);
+            }
+            env[i] = col[r];
         }
         env
     }
 
-    /// Materialize as a dense row of `n` slots (unbound slots are nil).
-    pub fn to_row(&self, n: usize) -> Binding {
-        let mut row = vec![Oop::NIL; n];
-        let mut cur = self.node.as_ref();
-        let mut filled = 0usize;
-        while let Some(node) = cur {
-            let i = node.var as usize;
-            if i < n && row[i].is_nil() {
-                row[i] = node.val;
-                filled += 1;
-                if filled == n {
-                    break;
-                }
-            }
-            cur = node.parent.as_ref();
-        }
-        row
+    /// Prefix every row of `self` with row `r` of `left`.
+    fn under(mut self, left: &Block<'p>, r: usize) -> Block<'p> {
+        let n = self.len;
+        let repeat = |col: &[Oop]| vec![col[r]; n];
+        self.vars.extend(left.vars.iter().map(|(v, c)| (*v, repeat(c))));
+        self.paths.extend(left.paths.iter().map(|(v, p, c)| (*v, *p, repeat(c))));
+        self
     }
 }
 
-impl EnvRead for Env {
+/// One row of a block over the outer bindings, for per-row evaluation.
+struct RowEnv<'a, 'p> {
+    block: &'a Block<'p>,
+    row: usize,
+    outer: &'a [Oop],
+}
+
+impl EnvRead for RowEnv<'_, '_> {
     fn read(&self, var: VarId) -> Oop {
-        let mut cur = self.node.as_ref();
-        while let Some(n) = cur {
-            if n.var == var.0 {
-                return n.val;
-            }
-            cur = n.parent.as_ref();
+        match self.block.var(var) {
+            Some(i) => self.block.vars[i].1[self.row],
+            None => self.outer.read(var),
         }
-        Oop::NIL
+    }
+}
+
+/// A term's value at every row of a block.
+enum Col {
+    /// A variable column of the block.
+    Var(usize),
+    /// A fetched path column of the block.
+    Path(usize),
+    /// The same value at every row (constants, outer bindings).
+    Same(Oop),
+    /// Evaluated row by row.
+    Rows(Vec<Oop>),
+}
+
+impl Col {
+    fn at(&self, block: &Block<'_>, r: usize) -> Oop {
+        match self {
+            Col::Var(i) => block.vars[*i].1[r],
+            Col::Path(i) => block.paths[*i].2[r],
+            Col::Same(v) => *v,
+            Col::Rows(vals) => vals[r],
+        }
+    }
+}
+
+/// `base[r]!names` for every row: one `elem_column` call per name.
+fn fetch_path<C: QueryContext>(
+    ctx: &mut C,
+    base: &[Oop],
+    names: &[ElemName],
+) -> GemResult<Vec<Oop>> {
+    let Some((first, rest)) = names.split_first() else { return Ok(base.to_vec()) };
+    let mut vals = Vec::with_capacity(base.len());
+    ctx.elem_column(base, *first, &mut vals)?;
+    for name in rest {
+        let mut next = Vec::with_capacity(vals.len());
+        ctx.elem_column(&vals, *name, &mut next)?;
+        vals = next;
+    }
+    Ok(vals)
+}
+
+/// True for terms read as whole columns: variables, constants and paths.
+fn is_column(term: &Term) -> bool {
+    matches!(term, Term::Var(_) | Term::Const(_) | Term::Path(..))
+}
+
+/// `term` over every row of `block`. A path is fetched once per block, one
+/// `elem_column` call per name, and kept with the block; a path from an
+/// outer variable is the same at every row and is read once.
+fn column<'p, C: QueryContext>(
+    ctx: &mut C,
+    term: &'p Term,
+    block: &mut Block<'p>,
+    outer: &[Oop],
+) -> GemResult<Col> {
+    match term {
+        Term::Const(c) => Ok(Col::Same(*c)),
+        Term::Var(v) | Term::Path(v, _) => {
+            let names: &'p [ElemName] = match term {
+                Term::Path(_, names) => names,
+                _ => &[],
+            };
+            let Some(base) = block.var(*v) else {
+                return Ok(Col::Same(ast::eval_term(ctx, term, outer)?));
+            };
+            if names.is_empty() {
+                return Ok(Col::Var(base));
+            }
+            if let Some(i) = block.paths.iter().position(|(pv, p, _)| pv == v && *p == names) {
+                return Ok(Col::Path(i));
+            }
+            let vals = fetch_path(ctx, &block.vars[base].1, names)?;
+            block.paths.push((*v, names, vals));
+            Ok(Col::Path(block.paths.len() - 1))
+        }
+        _ => {
+            let vals = (0..block.len)
+                .map(|row| ast::eval_term(ctx, term, &RowEnv { block, row, outer }))
+                .collect::<GemResult<_>>()?;
+            Ok(Col::Rows(vals))
+        }
+    }
+}
+
+/// The top-level conjuncts of `pred`, left to right (`True` drops out).
+fn conjuncts<'p>(pred: &'p Pred, out: &mut Vec<&'p Pred>) {
+    match pred {
+        Pred::And(a, b) => {
+            conjuncts(a, out);
+            conjuncts(b, out);
+        }
+        Pred::True => {}
+        p => out.push(p),
+    }
+}
+
+/// Which rows of `block` satisfy one conjunct.
+fn test_rows<'p, C: QueryContext>(
+    ctx: &mut C,
+    pred: &'p Pred,
+    block: &mut Block<'p>,
+    outer: &[Oop],
+) -> GemResult<Vec<bool>> {
+    if let Pred::Cmp(a, op, b) = pred {
+        if is_column(a) && is_column(b) {
+            let (a, b) = (column(ctx, a, block, outer)?, column(ctx, b, block, outer)?);
+            return (0..block.len)
+                .map(|r| ast::cmp_values(ctx, *op, a.at(block, r), b.at(block, r)))
+                .collect();
+        }
+    }
+    (0..block.len).map(|row| ast::eval_pred(ctx, pred, &RowEnv { block, row, outer })).collect()
+}
+
+/// The members of `d` a directory scan yields: the directory's answer
+/// when it has one (`served`), else every member whose `member!path`
+/// passes `keep` — the scan-and-filter fallback, whose path column stays
+/// with the surviving rows. `None` when no member qualifies.
+#[allow(clippy::too_many_arguments)]
+fn index_or_filter<'p, C: QueryContext>(
+    ctx: &mut C,
+    meter: &mut Meter<'_>,
+    var: VarId,
+    d: Oop,
+    path: &'p [ElemName],
+    served: Option<Vec<Oop>>,
+    keep: impl Fn(&mut C, Oop) -> GemResult<bool>,
+) -> GemResult<Option<Block<'p>>> {
+    if let Some(members) = served {
+        meter.stats.index_hits += 1;
+        meter.stats.index_rows += members.len() as u64;
+        return Ok((!members.is_empty()).then(|| Block::scan(var, members)));
+    }
+    meter.stats.index_fallbacks += 1;
+    let members = ctx.elements(d)?;
+    meter.stats.rows_scanned += members.len() as u64;
+    let mut block = Block::scan(var, members);
+    let vals = fetch_path(ctx, &block.vars[0].1, path)?;
+    let pass = vals.iter().map(|&v| keep(ctx, v)).collect::<GemResult<Vec<bool>>>()?;
+    if !path.is_empty() {
+        block.paths.push((var, path, vals));
+    }
+    Ok(block.filter(&pass))
+}
+
+/// Whether `v` lies within the optional bounds (`(bound, inclusive)`).
+fn in_range<C: QueryContext>(
+    ctx: &mut C,
+    v: Oop,
+    lo: Option<(Oop, bool)>,
+    hi: Option<(Oop, bool)>,
+) -> GemResult<bool> {
+    if let Some((b, inc)) = lo {
+        let op = if inc { CmpOp::Ge } else { CmpOp::Gt };
+        if !ast::cmp_values(ctx, op, v, b)? {
+            return Ok(false);
+        }
+    }
+    match hi {
+        Some((b, inc)) => ast::cmp_values(ctx, if inc { CmpOp::Le } else { CmpOp::Lt }, v, b),
+        None => Ok(true),
     }
 }
 
@@ -264,9 +424,9 @@ impl AlgExpr {
     }
 }
 
-/// The binding consumer threaded through streaming evaluation. The context
-/// and meter ride along so sinks can evaluate dependent subplans.
-type Sink<'a, C> = &'a mut dyn FnMut(&mut C, &mut Meter<'_>, Env) -> GemResult<()>;
+/// The block consumer threaded through evaluation. The context and meter
+/// ride along so sinks can evaluate dependent subplans.
+type Sink<'s, 'p, C> = &'s mut dyn FnMut(&mut C, &mut Meter<'_>, Block<'p>) -> GemResult<()>;
 
 /// Per-operator accumulators for one profiled run (parallel to the
 /// pre-order node list the profiler built from the plan).
@@ -287,48 +447,37 @@ struct Prof<'p> {
 
 /// What every operator threads along: the aggregate [`PlanStats`] plus an
 /// optional per-operator profiler. The unprofiled path pays one `None`
-/// check per operator entry, nothing per row.
+/// check per operator entry, nothing per block.
 struct Meter<'p> {
     stats: &'p mut PlanStats,
     prof: Option<Prof<'p>>,
 }
 
-/// A build-side row: its join-key value plus the env delta to replay when
-/// it matches a probe row.
-type BuildRow = (Oop, Vec<(u16, Oop)>);
-
-/// One side of a hash-join table: rows that hashed, and "loose" rows whose
-/// key has no hashable image (compared pairwise by `equals`).
-struct JoinTable {
-    buckets: HashMap<ValueKey, Vec<BuildRow>>,
-    loose: Vec<BuildRow>,
-}
-
-/// Evaluate an algebra expression, pushing each produced binding into
-/// `out`. When profiling, wrap the sink to count this node's output rows
-/// and charge it the inclusive wall time of the invocation. Wall time is
-/// *inclusive of downstream consumption* — evaluation streams by pushing,
-/// so a parent's sink runs inside the child's loop; with the strictly
-/// monotonic telemetry clock every invocation still costs ≥ 1 ns, making
-/// "nonzero wall time per operator" deterministic.
-fn eval_stream<C: QueryContext>(
+/// Evaluate an algebra expression under the `outer` bindings, pushing each
+/// produced block into `out`. When profiling, wrap the sink to count this
+/// node's output rows and charge it the inclusive wall time of the
+/// invocation. Wall time is *inclusive of downstream consumption* — blocks
+/// are pushed, so a parent's sink runs inside the child's call; with the
+/// strictly monotonic telemetry clock every invocation still costs ≥ 1 ns,
+/// making "nonzero wall time per operator" deterministic.
+fn eval_stream<'p, C: QueryContext>(
     ctx: &mut C,
-    expr: &AlgExpr,
-    env: &Env,
+    expr: &'p AlgExpr,
+    outer: &[Oop],
     meter: &mut Meter<'_>,
-    out: Sink<'_, C>,
+    out: Sink<'_, 'p, C>,
 ) -> GemResult<()> {
     let node =
         meter.prof.as_ref().and_then(|p| p.ids.get(&(expr as *const AlgExpr as usize)).copied());
     let Some(id) = node else {
-        return eval_node(ctx, expr, env, meter, out);
+        return eval_node(ctx, expr, outer, meter, out);
     };
     let t0 = (meter.prof.as_ref().expect("profiled").clock)();
-    let result = eval_node(ctx, expr, env, meter, &mut |ctx, m, e| {
+    let result = eval_node(ctx, expr, outer, meter, &mut |ctx, m, block| {
         if let Some(p) = m.prof.as_mut() {
-            p.accs[id].rows_out += 1;
+            p.accs[id].rows_out += block.len as u64;
         }
-        out(ctx, m, e)
+        out(ctx, m, block)
     });
     let p = meter.prof.as_mut().expect("profiled");
     let t1 = (p.clock)();
@@ -337,179 +486,201 @@ fn eval_stream<C: QueryContext>(
 }
 
 /// The operator bodies (recursing through [`eval_stream`] so children are
-/// profiled too).
-fn eval_node<C: QueryContext>(
+/// profiled too). No operator emits an empty block.
+fn eval_node<'p, C: QueryContext>(
     ctx: &mut C,
-    expr: &AlgExpr,
-    env: &Env,
+    expr: &'p AlgExpr,
+    outer: &[Oop],
     meter: &mut Meter<'_>,
-    out: Sink<'_, C>,
+    out: Sink<'_, 'p, C>,
 ) -> GemResult<()> {
     match expr {
-        AlgExpr::Unit => out(ctx, meter, env.clone()),
+        AlgExpr::Unit => out(ctx, meter, Block { len: 1, ..Block::default() }),
         AlgExpr::Scan { var, domain } => {
-            let d = ast::eval_term(ctx, domain, env)?;
-            for m in ctx.elements(d)? {
-                meter.stats.rows_scanned += 1;
-                out(ctx, meter, env.bind(*var, m))?;
+            let d = ast::eval_term(ctx, domain, outer)?;
+            let members = ctx.elements(d)?;
+            meter.stats.rows_scanned += members.len() as u64;
+            if members.is_empty() {
+                return Ok(());
             }
-            Ok(())
+            out(ctx, meter, Block::scan(*var, members))
         }
         AlgExpr::IndexScan { var, domain, path, key } => {
-            let d = ast::eval_term(ctx, domain, env)?;
-            let k = ast::eval_term(ctx, key, env)?;
-            match ctx.index_lookup(d, path, k)? {
-                Some(members) => {
-                    meter.stats.index_hits += 1;
-                    for m in members {
-                        meter.stats.index_rows += 1;
-                        out(ctx, meter, env.bind(*var, m))?;
-                    }
-                }
-                None => {
-                    // No directory after all: scan and filter on the path.
-                    meter.stats.index_fallbacks += 1;
-                    for m in ctx.elements(d)? {
-                        meter.stats.rows_scanned += 1;
-                        let mut v = m;
-                        for n in path {
-                            v = ctx.elem(v, *n)?;
-                        }
-                        if ctx.equals(v, k)? {
-                            out(ctx, meter, env.bind(*var, m))?;
-                        }
-                    }
-                }
+            let d = ast::eval_term(ctx, domain, outer)?;
+            let k = ast::eval_term(ctx, key, outer)?;
+            let served = ctx.index_lookup(d, path, k)?;
+            let block =
+                index_or_filter(ctx, meter, *var, d, path, served, |ctx, v| ctx.equals(v, k))?;
+            match block {
+                Some(block) => out(ctx, meter, block),
+                None => Ok(()),
             }
-            Ok(())
         }
         AlgExpr::IndexRangeScan { var, domain, path, lo, hi } => {
-            let d = ast::eval_term(ctx, domain, env)?;
-            let lo_v = match lo {
-                Some((t, inc)) => Some((ast::eval_term(ctx, t, env)?, *inc)),
-                None => None,
+            let d = ast::eval_term(ctx, domain, outer)?;
+            let mut bound = |b: &Option<(Term, bool)>| match b {
+                Some((t, inc)) => ast::eval_term(ctx, t, outer).map(|v| Some((v, *inc))),
+                None => Ok(None),
             };
-            let hi_v = match hi {
-                Some((t, inc)) => Some((ast::eval_term(ctx, t, env)?, *inc)),
-                None => None,
-            };
-            match ctx.index_range(d, path, lo_v, hi_v)? {
-                Some(members) => {
-                    meter.stats.index_hits += 1;
-                    for m in members {
-                        meter.stats.index_rows += 1;
-                        out(ctx, meter, env.bind(*var, m))?;
-                    }
-                }
-                None => {
-                    // No directory: scan and test the bounds.
-                    meter.stats.index_fallbacks += 1;
-                    for m in ctx.elements(d)? {
-                        meter.stats.rows_scanned += 1;
-                        let mut v = m;
-                        for n in path {
-                            v = ctx.elem(v, *n)?;
-                        }
-                        let mut ok = true;
-                        if let Some((b, inc)) = lo_v {
-                            ok &= match ctx.compare(v, b)? {
-                                Some(std::cmp::Ordering::Greater) => true,
-                                Some(std::cmp::Ordering::Equal) => inc,
-                                _ => false,
-                            };
-                        }
-                        if ok {
-                            if let Some((b, inc)) = hi_v {
-                                ok &= match ctx.compare(v, b)? {
-                                    Some(std::cmp::Ordering::Less) => true,
-                                    Some(std::cmp::Ordering::Equal) => inc,
-                                    _ => false,
-                                };
-                            }
-                        }
-                        if ok {
-                            out(ctx, meter, env.bind(*var, m))?;
-                        }
-                    }
-                }
+            let (lo, hi) = (bound(lo)?, bound(hi)?);
+            let served = ctx.index_range(d, path, lo, hi)?;
+            let keep = |ctx: &mut C, v| in_range(ctx, v, lo, hi);
+            let block = index_or_filter(ctx, meter, *var, d, path, served, keep)?;
+            match block {
+                Some(block) => out(ctx, meter, block),
+                None => Ok(()),
             }
-            Ok(())
         }
         AlgExpr::Select { input, pred } => {
-            eval_stream(ctx, input, env, meter, &mut |ctx, meter, e| {
-                meter.stats.select_in += 1;
-                if ast::eval_pred(ctx, pred, &e)? {
-                    meter.stats.select_out += 1;
-                    out(ctx, meter, e)
-                } else {
-                    Ok(())
+            let mut tests = Vec::new();
+            conjuncts(pred, &mut tests);
+            eval_stream(ctx, input, outer, meter, &mut |ctx, meter, mut block| {
+                meter.stats.select_in += block.len as u64;
+                // One conjunct at a time over the rows still passing: the
+                // rows each conjunct sees are exactly those `And` would
+                // evaluate it on.
+                for &test in &tests {
+                    let keep = test_rows(ctx, test, &mut block, outer)?;
+                    match block.filter(&keep) {
+                        Some(kept) => block = kept,
+                        None => return Ok(()),
+                    }
                 }
+                meter.stats.select_out += block.len as u64;
+                out(ctx, meter, block)
             })
         }
         AlgExpr::NestJoin { left, right } => {
-            eval_stream(ctx, left, env, meter, &mut |ctx, meter, lenv| {
-                meter.stats.nest_loops += 1;
-                eval_stream(ctx, right, &lenv, meter, &mut *out)
+            eval_stream(ctx, left, outer, meter, &mut |ctx, meter, lblock| {
+                for r in 0..lblock.len {
+                    meter.stats.nest_loops += 1;
+                    let env = lblock.outer_row(r, outer);
+                    eval_stream(ctx, right, &env, meter, &mut |ctx, meter, rblock| {
+                        out(ctx, meter, rblock.under(&lblock, r))
+                    })?;
+                }
+                Ok(())
             })
         }
         AlgExpr::HashJoin { left, right, left_key, right_key } => {
-            // Build: evaluate the right side once from the *outer* env (the
-            // translator guarantees independence) and hash it by key. Rows
-            // whose key has no hashable image go to the loose list and are
-            // probed pairwise by `equals`.
-            let mut table = JoinTable { buckets: HashMap::new(), loose: Vec::new() };
-            eval_stream(ctx, right, env, meter, &mut |ctx, meter, renv| {
-                meter.stats.hash_builds += 1;
-                let kv = ast::eval_term(ctx, right_key, &renv)?;
-                let delta = renv.delta_since(env);
-                match ctx.join_key(kv)? {
-                    Some(k) => table.buckets.entry(k).or_default().push((kv, delta)),
-                    None => table.loose.push((kv, delta)),
-                }
-                Ok(())
-            })?;
-            // Probe: stream the left side through the table.
-            eval_stream(ctx, left, env, meter, &mut |ctx, meter, lenv| {
-                meter.stats.hash_probes += 1;
-                let kv = ast::eval_term(ctx, left_key, &lenv)?;
-                match ctx.join_key(kv)? {
-                    Some(k) => {
-                        if let Some(bucket) = table.buckets.get(&k) {
-                            for (_, delta) in bucket {
-                                meter.stats.hash_matches += 1;
-                                out(ctx, meter, lenv.bind_delta(delta))?;
-                            }
-                        }
-                        for (rkv, delta) in &table.loose {
-                            if ctx.equals(kv, *rkv)? {
-                                meter.stats.hash_matches += 1;
-                                out(ctx, meter, lenv.bind_delta(delta))?;
-                            }
-                        }
-                    }
-                    None => {
-                        // Unhashable probe key: fall back to pairwise
-                        // equality against every build row.
-                        for bucket in table.buckets.values() {
-                            for (rkv, delta) in bucket {
-                                if ctx.equals(kv, *rkv)? {
-                                    meter.stats.hash_matches += 1;
-                                    out(ctx, meter, lenv.bind_delta(delta))?;
-                                }
-                            }
-                        }
-                        for (rkv, delta) in &table.loose {
-                            if ctx.equals(kv, *rkv)? {
-                                meter.stats.hash_matches += 1;
-                                out(ctx, meter, lenv.bind_delta(delta))?;
-                            }
-                        }
-                    }
-                }
-                Ok(())
-            })
+            hash_join(ctx, left, right, left_key, right_key, outer, meter, out)
         }
     }
+}
+
+/// The build side of a hash join: every build row's variables and key, and
+/// the rows by key. Rows whose key has no hashable image are `loose` and
+/// are compared pairwise by `equals`. Both lists are in build order.
+struct JoinTable<'p> {
+    rows: Block<'p>,
+    keys: Vec<Oop>,
+    buckets: HashMap<JoinKey, Vec<u32>>,
+    loose: Vec<u32>,
+}
+
+impl<'p> JoinTable<'p> {
+    fn append<C: QueryContext>(
+        &mut self,
+        ctx: &mut C,
+        key: &'p Term,
+        mut block: Block<'p>,
+        outer: &[Oop],
+    ) -> GemResult<()> {
+        let col = column(ctx, key, &mut block, outer)?;
+        self.keys.extend((0..block.len).map(|r| col.at(&block, r)));
+        if self.rows.vars.is_empty() {
+            self.rows.vars = block.vars.iter().map(|(v, _)| (*v, Vec::new())).collect();
+        }
+        for ((_, to), (_, from)) in self.rows.vars.iter_mut().zip(&block.vars) {
+            to.extend_from_slice(from);
+        }
+        self.rows.len += block.len;
+        Ok(())
+    }
+
+    /// Hash every appended key.
+    fn index<C: QueryContext>(&mut self, ctx: &mut C) -> GemResult<()> {
+        for (i, &k) in self.keys.iter().enumerate() {
+            match ctx.join_key(k)? {
+                Some(key) => self.buckets.entry(key).or_default().push(i as u32),
+                None => self.loose.push(i as u32),
+            }
+        }
+        Ok(())
+    }
+
+    /// Append the build rows matching probe key `kv` to `out`, in build
+    /// order: the key's bucket merged with the loose rows that `equals` it.
+    fn probe<C: QueryContext>(&self, ctx: &mut C, kv: Oop, out: &mut Vec<u32>) -> GemResult<()> {
+        let Some(key) = ctx.join_key(kv)? else {
+            // Unhashable probe key: pairwise equality against every row.
+            for (i, &rk) in self.keys.iter().enumerate() {
+                if ctx.equals(kv, rk)? {
+                    out.push(i as u32);
+                }
+            }
+            return Ok(());
+        };
+        let bucket = self.buckets.get(&key).map_or(&[][..], Vec::as_slice);
+        let (mut b, mut l) = (0, 0);
+        while b < bucket.len() || l < self.loose.len() {
+            if l == self.loose.len() || (b < bucket.len() && bucket[b] < self.loose[l]) {
+                out.push(bucket[b]);
+                b += 1;
+            } else {
+                let i = self.loose[l];
+                if ctx.equals(kv, self.keys[i as usize])? {
+                    out.push(i);
+                }
+                l += 1;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Build: evaluate `right` once under the outer bindings (the translator
+/// guarantees independence) and hash it by `right_key`. Probe: each block
+/// of `left` reads its key column, and the matching (probe, build) row
+/// pairs leave as one block.
+#[allow(clippy::too_many_arguments)]
+fn hash_join<'p, C: QueryContext>(
+    ctx: &mut C,
+    left: &'p AlgExpr,
+    right: &'p AlgExpr,
+    left_key: &'p Term,
+    right_key: &'p Term,
+    outer: &[Oop],
+    meter: &mut Meter<'_>,
+    out: Sink<'_, 'p, C>,
+) -> GemResult<()> {
+    let mut table = JoinTable {
+        rows: Block::default(),
+        keys: Vec::new(),
+        buckets: HashMap::new(),
+        loose: Vec::new(),
+    };
+    eval_stream(ctx, right, outer, meter, &mut |ctx, meter, block| {
+        meter.stats.hash_builds += block.len as u64;
+        table.append(ctx, right_key, block, outer)
+    })?;
+    table.index(ctx)?;
+    eval_stream(ctx, left, outer, meter, &mut |ctx, meter, mut block| {
+        meter.stats.hash_probes += block.len as u64;
+        let keys = column(ctx, left_key, &mut block, outer)?;
+        let (mut probe_rows, mut build_rows) = (Vec::new(), Vec::new());
+        for r in 0..block.len {
+            table.probe(ctx, keys.at(&block, r), &mut build_rows)?;
+            probe_rows.resize(build_rows.len(), r as u32);
+        }
+        meter.stats.hash_matches += build_rows.len() as u64;
+        if build_rows.is_empty() {
+            return Ok(());
+        }
+        let mut joined = block.gather(&probe_rows);
+        joined.vars.extend(table.rows.gather(&build_rows).vars);
+        out(ctx, meter, joined)
+    })
 }
 
 // ------------------------------------------------- per-operator profiles
@@ -765,24 +936,27 @@ pub fn eval_algebra_profiled<C: QueryContext>(
     Ok((rows, OpProfile { nodes }))
 }
 
-fn eval_projected<C: QueryContext>(
+/// Evaluate `plan` and project every row through the result template, a
+/// column per template term (a path the predicates already fetched is
+/// reused, not read again).
+fn eval_projected<'p, C: QueryContext>(
     ctx: &mut C,
-    plan: &AlgExpr,
-    query: &Query,
+    plan: &'p AlgExpr,
+    query: &'p Query,
     meter: &mut Meter<'_>,
 ) -> GemResult<Vec<Vec<Oop>>> {
-    let base = Env::empty();
-    let mut out: Vec<Vec<Oop>> = Vec::new();
-    eval_stream(ctx, plan, &base, meter, &mut |ctx, meter, env| {
-        meter.stats.rows_out += 1;
-        let mut tuple = Vec::with_capacity(query.result.len());
-        for (_, term) in &query.result {
-            tuple.push(ast::eval_term(ctx, term, &env)?);
-        }
-        out.push(tuple);
+    let mut rows: Vec<Vec<Oop>> = Vec::new();
+    eval_stream(ctx, plan, &[], meter, &mut |ctx, meter, mut block| {
+        meter.stats.rows_out += block.len as u64;
+        let cols = query
+            .result
+            .iter()
+            .map(|(_, term)| column(ctx, term, &mut block, &[]))
+            .collect::<GemResult<Vec<Col>>>()?;
+        rows.extend((0..block.len).map(|r| cols.iter().map(|c| c.at(&block, r)).collect()));
         Ok(())
     })?;
-    Ok(out)
+    Ok(rows)
 }
 
 /// Run a plan and project each surviving binding through the query's result
@@ -801,36 +975,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn env_bind_get_and_shadowing() {
-        let e = Env::empty();
-        assert!(e.read(VarId(0)).is_nil());
-        let e1 = e.bind(VarId(0), Oop::int(1));
-        let e2 = e1.bind(VarId(1), Oop::int(2));
-        assert_eq!(e2.read(VarId(0)).as_int(), Some(1));
-        assert_eq!(e2.read(VarId(1)).as_int(), Some(2));
-        let shadowed = e2.bind(VarId(0), Oop::int(9));
-        assert_eq!(shadowed.read(VarId(0)).as_int(), Some(9));
-        // The parent is untouched (persistence).
-        assert_eq!(e2.read(VarId(0)).as_int(), Some(1));
-    }
-
-    #[test]
-    fn env_delta_roundtrip() {
-        let base = Env::empty().bind(VarId(0), Oop::int(7));
-        let ext = base.bind(VarId(1), Oop::int(8)).bind(VarId(2), Oop::int(9));
-        let delta = ext.delta_since(&base);
-        assert_eq!(delta, vec![(1, Oop::int(8)), (2, Oop::int(9))]);
-        let other = Env::empty().bind(VarId(0), Oop::int(70));
-        let replayed = other.bind_delta(&delta);
-        assert_eq!(replayed.read(VarId(0)).as_int(), Some(70));
-        assert_eq!(replayed.read(VarId(1)).as_int(), Some(8));
-        assert_eq!(replayed.read(VarId(2)).as_int(), Some(9));
-    }
-
-    #[test]
-    fn env_to_row_densifies() {
-        let e = Env::empty().bind(VarId(0), Oop::int(1)).bind(VarId(2), Oop::int(3));
-        assert_eq!(e.to_row(3), vec![Oop::int(1), Oop::NIL, Oop::int(3)]);
+    fn blocks_gather_filter_and_prefix() {
+        let (v0, v1) = (VarId(0), VarId(1));
+        let left = Block::scan(v0, vec![Oop::int(1), Oop::int(2)]);
+        let right = Block::scan(v1, vec![Oop::int(7), Oop::int(8), Oop::int(9)]);
+        let kept = right.filter(&[true, false, true]).expect("two rows pass");
+        assert_eq!(kept.vars[0].1, vec![Oop::int(7), Oop::int(9)]);
+        let joined = kept.under(&left, 1);
+        let env = RowEnv { block: &joined, row: 1, outer: &[] };
+        assert_eq!((env.read(v0), env.read(v1)), (Oop::int(2), Oop::int(9)));
+        assert_eq!(left.outer_row(0, &[Oop::NIL, Oop::int(5)]), vec![Oop::int(1), Oop::int(5)]);
+        assert!(left.filter(&[false, false]).is_none());
     }
 
     #[test]

@@ -9,9 +9,8 @@ use std::cmp::Ordering;
 pub struct VarId(pub u16);
 
 /// Read access to variable bindings during evaluation. Implemented by the
-/// naive evaluator's dense rows (`[Oop]`) and by the streaming algebra's
-/// persistent [`crate::Env`] chains — term/predicate evaluation is generic
-/// over both.
+/// naive evaluator's dense rows (`[Oop]`) and by the executor's view of one
+/// row of a block — term/predicate evaluation is generic over both.
 pub trait EnvRead {
     /// The value bound to `var` (nil when unbound).
     fn read(&self, var: VarId) -> Oop;
@@ -209,6 +208,18 @@ fn arith<C: QueryContext, E: EnvRead + ?Sized>(
     }
 }
 
+/// `av op bv`, through the context's equality and ordering.
+pub fn cmp_values<C: QueryContext>(ctx: &mut C, op: CmpOp, av: Oop, bv: Oop) -> GemResult<bool> {
+    match op {
+        CmpOp::Eq => ctx.equals(av, bv),
+        CmpOp::Ne => Ok(!ctx.equals(av, bv)?),
+        CmpOp::Lt => Ok(ctx.compare(av, bv)? == Some(Ordering::Less)),
+        CmpOp::Le => Ok(matches!(ctx.compare(av, bv)?, Some(Ordering::Less | Ordering::Equal))),
+        CmpOp::Gt => Ok(ctx.compare(av, bv)? == Some(Ordering::Greater)),
+        CmpOp::Ge => Ok(matches!(ctx.compare(av, bv)?, Some(Ordering::Greater | Ordering::Equal))),
+    }
+}
+
 /// Evaluate a predicate under an environment.
 pub fn eval_pred<C: QueryContext, E: EnvRead + ?Sized>(
     ctx: &mut C,
@@ -223,18 +234,7 @@ pub fn eval_pred<C: QueryContext, E: EnvRead + ?Sized>(
         Pred::Cmp(a, op, b) => {
             let av = eval_term(ctx, a, env)?;
             let bv = eval_term(ctx, b, env)?;
-            match op {
-                CmpOp::Eq => ctx.equals(av, bv),
-                CmpOp::Ne => Ok(!ctx.equals(av, bv)?),
-                CmpOp::Lt => Ok(ctx.compare(av, bv)? == Some(Ordering::Less)),
-                CmpOp::Le => {
-                    Ok(matches!(ctx.compare(av, bv)?, Some(Ordering::Less | Ordering::Equal)))
-                }
-                CmpOp::Gt => Ok(ctx.compare(av, bv)? == Some(Ordering::Greater)),
-                CmpOp::Ge => {
-                    Ok(matches!(ctx.compare(av, bv)?, Some(Ordering::Greater | Ordering::Equal)))
-                }
-            }
+            cmp_values(ctx, *op, av, bv)
         }
         Pred::In(x, s) => {
             let xv = eval_term(ctx, x, env)?;

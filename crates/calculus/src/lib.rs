@@ -30,14 +30,14 @@ mod translate;
 
 pub use algebra::{
     est_err_pct, eval_algebra, eval_algebra_profiled, eval_algebra_stats, scrape_selectivities,
-    AlgExpr, Binding, Env, OpNode, OpProfile, PlanStats,
+    AlgExpr, OpNode, OpProfile, PlanStats,
 };
 pub use ast::{CmpOp, EnvRead, Pred, Query, Range, Term, VarId};
 pub use stats::{
     path_key, pred_key, KeySketch, SelObs, SetStats, StatsCatalog, StatsView, VarStats,
 };
 pub use translate::{
-    plan_query, translate, translate_with, IndexCatalog, PlanDecision, PlanOptions,
+    plan_candidates, plan_query, translate, translate_with, IndexCatalog, PlanDecision, PlanOptions,
 };
 
 use gemstone_object::{ElemName, GemResult, Oop, ValueKey};
@@ -54,6 +54,18 @@ pub type JoinKey = ValueKey;
 pub trait QueryContext {
     /// The value of `obj`'s element `name` (nil if absent).
     fn elem(&mut self, obj: Oop, name: ElemName) -> GemResult<Oop>;
+
+    /// Append element `name` of every object in `objs` to `out`, in order:
+    /// one column of a block. Must read exactly what calling
+    /// [`Self::elem`] on each object in turn would; an implementation
+    /// overrides it only to pay per-call costs once per column.
+    fn elem_column(&mut self, objs: &[Oop], name: ElemName, out: &mut Vec<Oop>) -> GemResult<()> {
+        out.reserve(objs.len());
+        for &obj in objs {
+            out.push(self.elem(obj, name)?);
+        }
+        Ok(())
+    }
 
     /// The present element values of a collection, in element-name order.
     fn elements(&mut self, obj: Oop) -> GemResult<Vec<Oop>>;

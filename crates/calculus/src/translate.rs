@@ -138,21 +138,14 @@ pub fn plan_query(query: &Query, indexes: &IndexCatalog, options: &PlanOptions) 
             plan,
         };
     }
-    let empty = IndexCatalog::new();
-    let mut candidates: Vec<(AlgExpr, f64, Vec<u64>)> = Vec::new();
-    for order in admissible_orders(query, MAX_ORDERS) {
-        // Index-using variant first, then the scan-only variant: on a cost
-        // tie the earlier candidate (and the identity order) wins.
-        for catalog in [indexes, &empty] {
-            let plan = build_plan(query, &order, catalog, options);
-            if candidates.iter().any(|(p, _, _)| *p == plan) {
-                continue;
-            }
+    let mut candidates: Vec<(AlgExpr, f64, Vec<u64>)> = plan_candidates(query, indexes, options)
+        .into_iter()
+        .map(|plan| {
             let mut est_rows = Vec::new();
             let cost = estimate(&plan, view, &mut est_rows);
-            candidates.push((plan, cost, est_rows));
-        }
-    }
+            (plan, cost, est_rows)
+        })
+        .collect();
     let best = candidates
         .iter()
         .enumerate()
@@ -174,6 +167,30 @@ pub fn plan_query(query: &Query, indexes: &IndexCatalog, options: &PlanOptions) 
         cost_based: true,
         plan,
     }
+}
+
+/// Every plan the cost-based planner weighs for `query`, deduplicated:
+/// each admissible range order, its index-using variant before its
+/// scan-only one, declaration order first (so on a cost tie the earlier
+/// candidate wins). Each is an executable plan with the query's meaning —
+/// the differential tests run all of them against the calculus semantics.
+#[doc(hidden)]
+pub fn plan_candidates(
+    query: &Query,
+    indexes: &IndexCatalog,
+    options: &PlanOptions,
+) -> Vec<AlgExpr> {
+    let empty = IndexCatalog::new();
+    let mut out: Vec<AlgExpr> = Vec::new();
+    for order in admissible_orders(query, MAX_ORDERS) {
+        for catalog in [indexes, &empty] {
+            let plan = build_plan(query, &order, catalog, options);
+            if !out.contains(&plan) {
+                out.push(plan);
+            }
+        }
+    }
+    out
 }
 
 /// Every range order whose dependent domains stay to the right of the

@@ -2,87 +2,16 @@
 //! nested-loop semantics, with and without directories, on hand-built and
 //! randomized object graphs.
 
+mod common;
+
+use common::MockGraph;
 use gemstone_calculus::{
     eval_algebra_stats, eval_naive, eval_query, eval_query_explained, translate, translate_with,
-    CmpOp, IndexCatalog, PlanOptions, PlanStats, Pred, Query, QueryContext, Range, Term, VarId,
+    CmpOp, IndexCatalog, PlanOptions, PlanStats, Pred, Query, Range, Term, VarId,
 };
-use gemstone_object::{ElemName, GemResult, Oop, SymbolId};
+use gemstone_object::{ElemName, Oop, SymbolId};
 use proptest::prelude::*;
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
-
-/// A tiny in-memory object graph: heap index → element map.
-#[derive(Default)]
-struct MockGraph {
-    objects: Vec<BTreeMap<ElemName, Oop>>,
-    /// Collections (by Oop) with a directory on a path.
-    indexed: Vec<(Oop, Vec<ElemName>)>,
-    index_probes: u64,
-}
-
-impl MockGraph {
-    fn alloc(&mut self, elems: BTreeMap<ElemName, Oop>) -> Oop {
-        self.objects.push(elems);
-        Oop::obj(self.objects.len() as u32 - 1)
-    }
-}
-
-impl QueryContext for MockGraph {
-    fn elem(&mut self, obj: Oop, name: ElemName) -> GemResult<Oop> {
-        Ok(obj
-            .as_obj()
-            .and_then(|i| self.objects.get(i as usize))
-            .and_then(|m| m.get(&name).copied())
-            .unwrap_or(Oop::NIL))
-    }
-
-    fn elements(&mut self, obj: Oop) -> GemResult<Vec<Oop>> {
-        Ok(obj
-            .as_obj()
-            .and_then(|i| self.objects.get(i as usize))
-            .map(|m| m.values().copied().filter(|v| !v.is_nil()).collect())
-            .unwrap_or_default())
-    }
-
-    fn equals(&mut self, a: Oop, b: Oop) -> GemResult<bool> {
-        if let (Some(x), Some(y)) = (a.as_number(), b.as_number()) {
-            return Ok(x == y);
-        }
-        Ok(a == b)
-    }
-
-    fn compare(&mut self, a: Oop, b: Oop) -> GemResult<Option<Ordering>> {
-        match (a.as_number(), b.as_number()) {
-            (Some(x), Some(y)) => Ok(x.partial_cmp(&y)),
-            _ => Ok(None),
-        }
-    }
-
-    fn index_lookup(
-        &mut self,
-        collection: Oop,
-        path: &[ElemName],
-        key: Oop,
-    ) -> GemResult<Option<Vec<Oop>>> {
-        let covered = self.indexed.iter().any(|(c, p)| *c == collection && p == path);
-        if !covered {
-            return Ok(None);
-        }
-        self.index_probes += 1;
-        let members = self.elements(collection)?;
-        let mut out = Vec::new();
-        for m in members {
-            let mut v = m;
-            for n in path {
-                v = self.elem(v, *n)?;
-            }
-            if self.equals(v, key)? {
-                out.push(m);
-            }
-        }
-        Ok(Some(out))
-    }
-}
 
 fn sym(n: u32) -> ElemName {
     ElemName::Sym(SymbolId(n))

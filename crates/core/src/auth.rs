@@ -83,9 +83,15 @@ impl AuthTable {
         }
     }
 
+    /// True when every access by `user` to `segment` passes without
+    /// consulting the table: the administrator, or the world segment.
+    pub(crate) fn exempt(user: &str, segment: SegmentId) -> bool {
+        user == DBA || segment == SegmentId::SYSTEM
+    }
+
     /// Check an access, erroring with `AuthorizationDenied`.
     pub fn check(&self, user: &str, segment: SegmentId, access: Access) -> GemResult<()> {
-        if user == DBA || segment == SegmentId::SYSTEM {
+        if AuthTable::exempt(user, segment) {
             return Ok(());
         }
         let ok = self.users.get(user).is_some_and(|p| match access {

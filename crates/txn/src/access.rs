@@ -2,6 +2,40 @@
 
 use gemstone_object::{ElemName, Goop};
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Multiplicative hashing for the keys an access set holds. Goops and
+/// symbol ids are assigned by the server, never by a client, so SipHash's
+/// resistance to chosen keys buys nothing here and costs a full keyed round
+/// per recorded read.
+#[derive(Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+type IdSet<T> = HashSet<T, BuildHasherDefault<IdHasher>>;
 
 /// The unit of conflict detection: one element of one object, the object's
 /// byte body, or its existence/shape.
@@ -25,7 +59,7 @@ impl SlotId {
 /// A set of accessed slots.
 #[derive(Debug, Clone, Default)]
 pub struct AccessSet {
-    slots: HashSet<SlotId>,
+    slots: IdSet<SlotId>,
 }
 
 impl AccessSet {
@@ -54,19 +88,28 @@ impl AccessSet {
     pub fn intersects(&self, other: &AccessSet) -> bool {
         let (small, large) =
             if self.slots.len() <= other.slots.len() { (self, other) } else { (other, self) };
-        small.slots.iter().any(|s| large.covers(*s)) || {
-            // Whole-object entries in `small` cover per-element entries in
-            // `large` too; check the reverse direction for Object slots.
-            small
-                .slots
-                .iter()
-                .filter(|s| matches!(s, SlotId::Object(_)))
-                .any(|s| large.slots.iter().any(|o| o.goop() == s.goop()))
+        if small.slots.iter().any(|s| large.covers(*s)) {
+            return true;
         }
+        // Whole-object entries in `small` cover per-element entries in
+        // `large` too; check the reverse direction for Object slots.
+        if !small.has_object_slot() {
+            return false;
+        }
+        let large_goops = large.goop_set();
+        small.slots.iter().any(|s| matches!(s, SlotId::Object(g) if large_goops.contains(g)))
     }
 
     fn covers(&self, slot: SlotId) -> bool {
         self.slots.contains(&slot) || self.slots.contains(&SlotId::Object(slot.goop()))
+    }
+
+    fn has_object_slot(&self) -> bool {
+        self.slots.iter().any(|s| matches!(s, SlotId::Object(_)))
+    }
+
+    fn goop_set(&self) -> IdSet<Goop> {
+        self.slots.iter().map(SlotId::goop).collect()
     }
 
     /// The objects on which the two sets collide, using the same covering
@@ -74,13 +117,12 @@ impl AccessSet {
     /// boolean check, enumerated for conflict attribution. Sorted and
     /// deduplicated.
     pub fn intersection_goops(&self, other: &AccessSet) -> Vec<Goop> {
+        let other_goops = if self.has_object_slot() { other.goop_set() } else { IdSet::default() };
         let mut goops: Vec<Goop> = self
             .slots
             .iter()
             .filter(|s| {
-                other.covers(**s)
-                    || (matches!(s, SlotId::Object(_))
-                        && other.slots.iter().any(|o| o.goop() == s.goop()))
+                other.covers(**s) || matches!(s, SlotId::Object(g) if other_goops.contains(g))
             })
             .map(|s| s.goop())
             .collect();
@@ -165,6 +207,47 @@ mod tests {
         b.record(e(1, 2));
         assert!(!a.intersects(&b));
         assert!(a.coarsened().intersects(&b.coarsened()), "the ablation's false conflict");
+    }
+
+    /// The covering rules spelled out pair by pair: the definition the
+    /// hashed implementations must reproduce.
+    fn collides(a: SlotId, b: SlotId) -> bool {
+        a == b
+            || (a.goop() == b.goop()
+                && (matches!(a, SlotId::Object(_)) || matches!(b, SlotId::Object(_))))
+    }
+
+    fn random_set(rng: &mut proptest::TestRng, n: u64) -> AccessSet {
+        let mut set = AccessSet::new();
+        for _ in 0..n {
+            let g = Goop(rng.next_u64() % 12);
+            set.record(match rng.next_u64() % 4 {
+                0 => SlotId::Object(g),
+                1 => SlotId::Bytes(g),
+                _ => e(g.0, (rng.next_u64() % 3) as u32),
+            });
+        }
+        set
+    }
+
+    proptest::proptest! {
+        fn hashed_answers_equal_the_pairwise_definition(
+            seed in proptest::prelude::any::<u64>(),
+            n in 0u64..24,
+            m in 0u64..24,
+        ) {
+            let mut rng = proptest::TestRng::from_seed(seed);
+            let a = random_set(&mut rng, n);
+            let b = random_set(&mut rng, m);
+            let pairwise = a.iter().any(|x| b.iter().any(|y| collides(x, y)));
+            proptest::prop_assert_eq!(a.intersects(&b), pairwise);
+            proptest::prop_assert_eq!(b.intersects(&a), pairwise);
+            let mut want: Vec<Goop> =
+                a.iter().filter(|x| b.iter().any(|y| collides(*x, y))).map(|x| x.goop()).collect();
+            want.sort_unstable_by_key(|g| g.0);
+            want.dedup();
+            proptest::prop_assert_eq!(a.intersection_goops(&b), want);
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@ use gemstone_object::{ConflictKind, GemError, GemResult, Goop};
 use gemstone_telemetry::{Counter, Histogram, Journal, JournalEvent};
 use gemstone_temporal::{Clock, TxnTime};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -316,20 +317,17 @@ impl TransactionManager {
             }
             return Ok(token.start);
         }
-        let (reads_g, writes_g) = match self.grain {
-            ValidationGrain::Element => (reads.clone(), writes.clone()),
-            ValidationGrain::Object => (reads.coarsened(), writes.coarsened()),
-        };
         // Validation failure aborts: the watermark case means records this
         // transaction must validate against were pruned before it
         // registered (it raced a commit's prune between reading the
         // published snapshot and `begin_at`), so the overlap cannot be
         // ruled out and the abort is conservative.
-        if let Err(report) = self.validate_locked(&mut inner, &token, &reads_g) {
+        if let Err(report) = self.validate_locked(&mut inner, &token, &self.at_grain(reads)) {
             return Err(self.conflict_abort_locked(&mut inner, *report));
         }
         let time = self.clock.tick();
-        inner.log.push(CommitRecord { time, session: token.session, writes: writes_g });
+        let writes = self.at_grain(writes).into_owned();
+        inner.log.push(CommitRecord { time, session: token.session, writes });
         self.counters.commits.inc();
         if let Some(j) = self.journal_on() {
             j.emit(&JournalEvent::TxnCommit);
@@ -374,11 +372,7 @@ impl TransactionManager {
             // Schema-only commits consume no transaction time.
             return Ok(token.start);
         }
-        let reads_g = match self.grain {
-            ValidationGrain::Element => reads.clone(),
-            ValidationGrain::Object => reads.coarsened(),
-        };
-        if let Err(report) = self.validate_locked(&mut inner, token, &reads_g) {
+        if let Err(report) = self.validate_locked(&mut inner, token, &self.at_grain(reads)) {
             inner.active.remove(&token.id);
             return Err(self.conflict_abort_locked(&mut inner, *report));
         }
@@ -387,24 +381,25 @@ impl TransactionManager {
 
     /// Phase 2: the writes are durable; log the commit at the `time`
     /// assigned by [`TransactionManager::prepare`] and retire the
-    /// transaction. Infallible in the engine's usage (the token was
-    /// prepared and never finalized twice); `NoTransaction` guards misuse.
+    /// transaction. The write set moves into the commit log. Infallible in
+    /// the engine's usage (the token was prepared and never finalized
+    /// twice); `NoTransaction` guards misuse.
     pub fn finalize(
         &self,
         token: TxnToken,
         time: TxnTime,
-        writes: &AccessSet,
+        writes: AccessSet,
     ) -> GemResult<TxnTime> {
         let mut inner = self.inner.lock();
         if inner.active.remove(&token.id).is_none() {
             return Err(GemError::NoTransaction);
         }
         if !writes.is_empty() {
-            let writes_g = match self.grain {
-                ValidationGrain::Element => writes.clone(),
+            let writes = match self.grain {
+                ValidationGrain::Element => writes,
                 ValidationGrain::Object => writes.coarsened(),
             };
-            inner.log.push(CommitRecord { time, session: token.session, writes: writes_g });
+            inner.log.push(CommitRecord { time, session: token.session, writes });
         }
         self.counters.commits.inc();
         if let Some(j) = self.journal_on() {
@@ -412,6 +407,15 @@ impl TransactionManager {
         }
         self.prune_log(&mut inner);
         Ok(time)
+    }
+
+    /// `set` at the validation grain: borrowed as recorded at element
+    /// grain, a coarsened copy at object grain.
+    fn at_grain<'a>(&self, set: &'a AccessSet) -> Cow<'a, AccessSet> {
+        match self.grain {
+            ValidationGrain::Element => Cow::Borrowed(set),
+            ValidationGrain::Object => Cow::Owned(set.coarsened()),
+        }
     }
 
     /// Backward validation of `reads_g` against the log and the watermark,

@@ -1,6 +1,9 @@
 //! §6 authorization: users, segments, privilege checks on element access.
 
-use gemstone::{Access, GemError, GemStone, SegmentId};
+use gemstone::{Access, GemError, GemStone, Oop, SegmentId, Session};
+use gemstone_calculus::{CmpOp, Pred, Query, Range, Term, VarId};
+use gemstone_object::ElemName;
+use gemstone_opal::OpalWorld;
 
 #[test]
 fn unknown_users_cannot_log_in() {
@@ -103,4 +106,51 @@ fn segment_move_reaches_a_session_that_cached_the_object() {
     // Her next transaction — no abort, no fresh login — is refused.
     let err = ellen.run("Memo at: #text");
     assert!(matches!(err, Err(GemError::AuthorizationDenied { .. })), "{err:?}");
+}
+
+/// `{e!Salary | e ∈ Staff, e!Salary > 5}` in this session's handles.
+fn staff_salaries(s: &mut Session) -> Query {
+    let staff = s.intern("Staff");
+    let salary = s.intern("Salary");
+    let e = VarId(0);
+    let path = Term::Path(e, vec![ElemName::Sym(salary)]);
+    Query {
+        result: vec![(salary, path.clone())],
+        ranges: vec![Range { var: e, domain: Term::Const(s.get_global(staff).unwrap()) }],
+        pred: Pred::Cmp(path, CmpOp::Gt, Term::Const(Oop::int(5))),
+    }
+}
+
+/// A calculus scan reads its members' elements a column at a time. A member
+/// the user has cached but can no longer read still refuses the query, and
+/// a grant lets it through again.
+#[test]
+fn a_query_over_an_unreadable_member_is_refused() {
+    let gs = GemStone::in_memory();
+    gs.create_user("ellen");
+    let mut dba = gs.login("system").unwrap();
+    let mut seg = SegmentId(0);
+    gs.database().with_auth(|auth| seg = auth.create_segment());
+    dba.run(
+        "| e | Staff := Set new. Boss := Dictionary new. Boss at: #Salary put: 90. \
+         Staff add: Boss. e := Dictionary new. e at: #Salary put: 10. Staff add: e",
+    )
+    .unwrap();
+    dba.commit().unwrap();
+
+    // Ellen scans while everything is world-readable and keeps her copies.
+    let mut ellen = gs.login("ellen").unwrap();
+    let q = staff_salaries(&mut ellen);
+    assert_eq!(ellen.query(&q).unwrap().len(), 2);
+    ellen.commit().unwrap();
+
+    let boss = dba.run("Boss").unwrap();
+    dba.set_segment(boss, seg).unwrap();
+    dba.commit().unwrap();
+    let err = ellen.query(&q);
+    assert!(matches!(err, Err(GemError::AuthorizationDenied { .. })), "{err:?}");
+
+    gs.database().with_auth(|auth| auth.grant("ellen", seg, Access::Read).unwrap());
+    ellen.abort();
+    assert_eq!(ellen.query(&q).unwrap().len(), 2);
 }

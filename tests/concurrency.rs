@@ -2,7 +2,12 @@
 //! system (§6's Transaction Manager), including SafeTime (§5.4) and a
 //! serializability check on concurrent counter updates.
 
-use gemstone::{ConflictKind, GemError, GemStone, Journal, JournalConfig, JournalEvent};
+use gemstone::{
+    ConflictKind, GemError, GemResult, GemStone, Journal, JournalConfig, JournalEvent, Oop, TxnTime,
+};
+use gemstone_calculus::{CmpOp, Pred, Query, Range, Term, VarId};
+use gemstone_object::ElemName;
+use gemstone_opal::OpalWorld;
 
 mod common;
 use common::diag_dir;
@@ -49,6 +54,59 @@ fn conflict_forensics_name_the_culprit() {
     assert_eq!(n, 1);
     assert!(report.goops.contains(&hot_goop), "heat table agrees with the report");
     assert_eq!(stats.by_track[0].1, 1);
+}
+
+/// A writing transaction that first ran `{e!Name | e ∈ Employees,
+/// e!Salary > 25}`, committed after another session committed `concurrent`.
+fn scan_then_commit_after(concurrent: &str) -> GemResult<TxnTime> {
+    let gs = GemStone::in_memory();
+    let mut setup = gs.login("system").unwrap();
+    let mut src = String::from("Employees := Set new. Tally := Dictionary new.\n");
+    for (i, salary) in [10, 20, 30, 40].into_iter().enumerate() {
+        src.push_str(&format!(
+            "E{i} := Dictionary new. E{i} at: #Name put: {i}. E{i} at: #Salary put: {salary}. \
+             E{i} at: #Dept put: 1. Employees add: E{i}.\n"
+        ));
+    }
+    setup.run(&src).unwrap();
+    setup.commit().unwrap();
+
+    let mut a = gs.login("system").unwrap();
+    let mut b = gs.login("system").unwrap();
+    let employees = a.intern("Employees");
+    let (name, salary) = (a.intern("Name"), a.intern("Salary"));
+    let e = VarId(0);
+    let q = Query {
+        result: vec![(name, Term::Path(e, vec![ElemName::Sym(name)]))],
+        ranges: vec![Range { var: e, domain: Term::Const(a.get_global(employees).unwrap()) }],
+        pred: Pred::Cmp(
+            Term::Path(e, vec![ElemName::Sym(salary)]),
+            CmpOp::Gt,
+            Term::Const(Oop::int(25)),
+        ),
+    };
+    let mut names: Vec<i64> = a.query(&q).unwrap().iter().map(|r| r[0].as_int().unwrap()).collect();
+    names.sort_unstable();
+    assert_eq!(names, vec![2, 3]);
+    a.run("Tally at: #n put: 1").unwrap();
+    b.run(concurrent).unwrap();
+    b.commit().unwrap();
+    a.commit()
+}
+
+/// The scan reads its element columns a block at a time, and its read set
+/// still names exactly the (object, element) pairs it looked at: every
+/// member's `Salary`, and `Name` only for the rows that passed.
+#[test]
+fn a_scan_validates_against_exactly_the_elements_it_read() {
+    for conflicting in ["E0 at: #Salary put: 11", "E3 at: #Name put: 9"] {
+        let err = scan_then_commit_after(conflicting);
+        assert!(matches!(err, Err(GemError::TransactionConflict { .. })), "{conflicting}: {err:?}");
+    }
+    for disjoint in ["E0 at: #Name put: 9", "E3 at: #Dept put: 2"] {
+        let ok = scan_then_commit_after(disjoint);
+        assert!(ok.is_ok(), "{disjoint}: {ok:?}");
+    }
 }
 
 #[test]
