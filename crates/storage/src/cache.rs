@@ -186,32 +186,18 @@ impl TrackCache {
 
     /// Look up a track, refreshing its recency.
     pub fn get(&mut self, id: TrackId) -> Option<&[u8]> {
-        if !self.entries.contains_key(&id) {
-            self.stats.misses.inc();
-            if let Some(j) = self.journal_on() {
-                j.emit(&JournalEvent::CacheAccess {
-                    track: id.0 as u64,
-                    shard: self.shard_index,
-                    hit: false,
-                });
-            }
-            return None;
-        }
-        let stamp = self.touch(id);
-        {
-            let (last, _) = self.entries.get_mut(&id).expect("checked above");
-            *last = stamp;
-        }
-        self.compact();
-        self.stats.hits.inc();
+        let hit = self.entries.contains_key(&id);
+        if hit { &self.stats.hits } else { &self.stats.misses }.inc();
         if let Some(j) = self.journal_on() {
-            j.emit(&JournalEvent::CacheAccess {
-                track: id.0 as u64,
-                shard: self.shard_index,
-                hit: true,
-            });
+            j.emit(&JournalEvent::CacheAccess { track: id.0 as u64, shard: self.shard_index, hit });
         }
-        let (_, data) = self.entries.get(&id).expect("checked above");
+        // Sweep before the touch: the record it pushes is then never
+        // mistaken for a tombstone, and the entry can be borrowed once.
+        self.compact();
+        let (last, data) = self.entries.get_mut(&id)?;
+        self.tick += 1;
+        self.recency.push_back((id, self.tick));
+        *last = self.tick;
         Some(data.as_slice())
     }
 

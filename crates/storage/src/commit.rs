@@ -55,16 +55,15 @@ pub fn write_checked(disk: &mut DiskArray, id: TrackId, payload: &[u8]) -> GemRe
 /// zero padding stripped (the header records the true payload length).
 pub fn read_checked(disk: &mut DiskArray, id: TrackId) -> GemResult<Vec<u8>> {
     let raw = disk.read_track(id)?;
-    if raw.len() < TRACK_HEADER {
+    let Some((&[l0, l1, l2, l3, ref sum @ ..], body)) = raw.split_first_chunk::<TRACK_HEADER>()
+    else {
         return Err(GemError::Corrupt(format!("track {id:?} shorter than header")));
-    }
-    let len = u32::from_le_bytes(raw[..4].try_into().unwrap()) as usize;
-    let stored = u64::from_le_bytes(raw[4..12].try_into().unwrap());
-    if TRACK_HEADER + len > raw.len() {
+    };
+    let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+    let Some(payload) = body.get(..len) else {
         return Err(GemError::Corrupt(format!("track {id:?} claims impossible length {len}")));
-    }
-    let payload = &raw[TRACK_HEADER..TRACK_HEADER + len];
-    if checksum(payload) != stored {
+    };
+    if checksum(payload) != u64::from_le_bytes(*sum) {
         return Err(GemError::Corrupt(format!("checksum mismatch on track {id:?}")));
     }
     Ok(payload.to_vec())

@@ -178,8 +178,10 @@ impl Workload {
                     ));
                 }
                 2 => {
-                    // Tombstone an element; stage a metadata blob.
-                    let g = *created.last().expect("k%5==0 ran first");
+                    // Tombstone an element of the newest object (GOOPs are
+                    // handed out in order, and step k - 2 created one);
+                    // stage a metadata blob.
+                    let g = Goop(next_goop - 1);
                     deltas.push(update(g, vec![(ElemName::Int(2), PRef::NIL)], None));
                     metas.push((1u8, format!("meta-as-of-commit-{k}").into_bytes()));
                 }
@@ -427,10 +429,13 @@ fn check_schedule(
         ));
     }
 
-    // 2. Power-up. Optionally interrupt the recovery pass itself: the
-    //    interrupted reopening must fail cleanly, and — because recovery
-    //    never writes — a retry over the identical platter must succeed.
-    let mut crashed = store.into_disk();
+    // 2. Power-up: only the platter survives, so recovery runs over a copy
+    //    of it — on a file, one that learns which tracks exist from their
+    //    bytes, as a real open does. Optionally interrupt the recovery pass
+    //    itself: the interrupted reopening must fail cleanly, and — because
+    //    recovery never writes — a retry over the identical platter must
+    //    succeed.
+    let mut crashed = checkpoint(&store.into_disk())?;
     crashed.replica_mut(0).revive();
     if let Some(r) = s.recovery_read {
         let mut faulted = checkpoint(&crashed)?;

@@ -306,19 +306,21 @@ pub trait TrackDisk: Send + std::fmt::Debug {
     /// plan's write budget — crash-point indices stay write-aligned.
     fn sync(&mut self) -> GemResult<()>;
 
-    /// True if the track has ever been written.
-    fn track_exists(&self, id: TrackId) -> bool;
+    /// True if the track has ever been written. A probe may read the
+    /// medium (a reopened file learns existence on first touch); it moves
+    /// no counter.
+    fn track_exists(&mut self, id: TrackId) -> bool;
 
     /// Number of written tracks at or past `frontier` — the orphans a
     /// recovered root does not reference (shadow writes of a torn commit).
-    fn tracks_beyond(&self, frontier: u32) -> u32;
+    fn tracks_beyond(&mut self, frontier: u32) -> u32;
 
     /// Checkpoint: an independent copy of the platter. Counters detach and
     /// any journal is dropped — a checkpoint must not keep emitting.
     fn checkpoint(&self) -> GemResult<Box<dyn TrackDisk>>;
 
     /// Number of tracks ever written.
-    fn tracks_in_use(&self) -> usize {
+    fn tracks_in_use(&mut self) -> usize {
         self.tracks_beyond(0) as usize
     }
 
@@ -347,7 +349,8 @@ pub trait Medium: Send + std::fmt::Debug + Sized + 'static {
 
     /// Land `bytes` at the start of slot `id` — a whole zero-padded track,
     /// or the torn prefix of a crashing write. Past them the slot keeps
-    /// what it held (zeros if it never existed). The slot exists afterwards.
+    /// what it held (zeros if it never existed). The slot exists afterwards
+    /// — on a file, which remembers only bytes, if it holds a nonzero byte.
     fn write(&mut self, id: TrackId, bytes: &[u8]) -> GemResult<()>;
 
     /// Read a whole slot.
@@ -359,8 +362,9 @@ pub trait Medium: Send + std::fmt::Debug + Sized + 'static {
     /// Every written slot lies below this index.
     fn slot_count(&self) -> usize;
 
-    /// True if the slot has ever been written (a torn prefix counts).
-    fn exists(&self, id: TrackId) -> bool;
+    /// True if the slot has ever been written (a torn prefix counts). May
+    /// read the slot to find out.
+    fn exists(&mut self, id: TrackId) -> bool;
 
     /// An independent copy of the platter.
     fn checkpoint(&self) -> GemResult<Self>;
@@ -407,7 +411,7 @@ impl Medium for RamDisk {
         self.tracks.len()
     }
 
-    fn exists(&self, id: TrackId) -> bool {
+    fn exists(&mut self, id: TrackId) -> bool {
         self.tracks.get(id.0 as usize).is_some_and(|t| t.is_some())
     }
 
@@ -550,11 +554,11 @@ impl<M: Medium> TrackDisk for Faulty<M> {
         Ok(())
     }
 
-    fn track_exists(&self, id: TrackId) -> bool {
+    fn track_exists(&mut self, id: TrackId) -> bool {
         self.medium.exists(id)
     }
 
-    fn tracks_beyond(&self, frontier: u32) -> u32 {
+    fn tracks_beyond(&mut self, frontier: u32) -> u32 {
         (frontier..self.medium.slot_count() as u32)
             .filter(|&i| self.medium.exists(TrackId(i)))
             .count() as u32
@@ -753,12 +757,10 @@ impl DiskArray {
 
     /// Read from the first replica able to serve the track. Exactly one
     /// replica performs (and counts) one read per logical call: the serving
-    /// replica is chosen by side-effect-free probes first, so no replica's
-    /// counters double-count and dead replicas aren't touched.
+    /// replica is chosen by uncounted existence probes first, so no
+    /// replica's counters double-count and dead replicas aren't touched.
     pub fn read_track(&mut self, id: TrackId) -> GemResult<&[u8]> {
-        match (0..self.replicas.len())
-            .find(|&i| !self.replicas[i].is_dead() && self.replicas[i].track_exists(id))
-        {
+        match self.replicas.iter_mut().position(|d| !d.is_dead() && d.track_exists(id)) {
             Some(i) => self.replicas[i].read_track(id),
             None if self.live_replicas() == 0 => Err(GemError::DiskDead),
             None => Err(never_written(id)),
@@ -766,12 +768,12 @@ impl DiskArray {
     }
 
     /// True if any replica (live or dead) holds the track.
-    pub fn track_exists(&self, id: TrackId) -> bool {
-        self.replicas.iter().any(|d| d.track_exists(id))
+    pub fn track_exists(&mut self, id: TrackId) -> bool {
+        self.replicas.iter_mut().any(|d| d.track_exists(id))
     }
 
     /// Orphan tracks at or past `frontier` on the primary replica.
-    pub fn tracks_beyond(&self, frontier: u32) -> u32 {
+    pub fn tracks_beyond(&mut self, frontier: u32) -> u32 {
         self.replicas[0].tracks_beyond(frontier)
     }
 

@@ -33,12 +33,18 @@
 //! journals it once.
 //!
 //! Track-existence semantics: the simulated disk remembers which tracks
-//! were ever written; a file can only remember bytes. On open, a track
-//! *exists* iff its slot contains any nonzero byte. This is sound for the
-//! crash matrix because every record the Commit Manager writes is framed
-//! (nonzero little-endian length field first), and every tear class with a
-//! nonzero prefix lands at least part of that length field — while a
-//! `Clean` tear lands nothing, exactly matching "never written".
+//! were ever written; a file can only remember bytes, so on a file a track
+//! *exists* iff its slot holds a nonzero byte. Opening does not scan for
+//! them — that would make every reopen O(file). Each slot of an opened
+//! file starts *unknown* and is settled the first time something asks:
+//! an existence probe reads the slot once, and the read that follows
+//! returns those bytes instead of reading again. A write settles its slot
+//! from the bytes it landed, so a live handle and a fresh open of the same
+//! file always give the same answers. The Commit Manager's records are
+//! framed (a length field, then a nonzero checksum), so a tear that lands
+//! part of one makes the slot exist — unless all it lands are zeros, as
+//! when an empty record tears inside its length field, which the file
+//! cannot tell from never written. A `Clean` tear lands nothing.
 
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
@@ -69,6 +75,23 @@ fn io_err(what: &str, path: &Path, e: std::io::Error) -> GemError {
     GemError::DiskFailure(format!("{what} {}: {e}", path.display()))
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Slots `pread` on this thread: what the open-cost test counts.
+    pub(crate) static SLOT_READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// What a handle knows about one slot's bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// Not read since open: the first probe settles it.
+    Unknown,
+    /// All zeros: the track does not exist.
+    Empty,
+    /// Holds a nonzero byte: the track exists.
+    Written,
+}
+
 /// The durable medium: a preallocated, track-aligned file with whole-slot
 /// `pread`/`pwrite` and explicit `fdatasync`. No fault or counting logic
 /// lives here — [`FaultFile`] wraps it.
@@ -77,12 +100,15 @@ pub struct FileDisk {
     path: PathBuf,
     file: File,
     track_size: usize,
-    /// Which slots have ever been written; its length is the preallocated
-    /// capacity in slots (header slot excluded). Rebuilt on open by
-    /// scanning slots for any nonzero byte.
-    exists: Vec<bool>,
+    /// One entry per preallocated slot (header slot excluded), so its
+    /// length is the capacity. A created file starts all `Empty`, an
+    /// opened one all `Unknown`.
+    slots: Vec<Slot>,
     /// Scratch buffer a read returns.
     read_buf: Vec<u8>,
+    /// The slot whose bytes `read_buf` holds from an existence probe: the
+    /// read that follows the probe returns them without a second `pread`.
+    probed: Option<TrackId>,
     /// Remove the file on drop (checkpoint copies are ephemeral).
     ephemeral: bool,
 }
@@ -110,11 +136,11 @@ impl FileDisk {
         // The header (and the file's very existence) must survive power
         // loss before any commit is acknowledged against it.
         file.sync_all().map_err(|e| io_err("sync", &path, e))?;
-        Ok(FileDisk::at(path, file, track_size, vec![false; PREALLOC_TRACKS]))
+        Ok(FileDisk::at(path, file, track_size, vec![Slot::Empty; PREALLOC_TRACKS]))
     }
 
-    /// Open an existing track file, validating the header and rebuilding
-    /// the track-existence map (any nonzero byte in a slot = written).
+    /// Open an existing track file, validating the header. No slot is
+    /// read: each one's existence is settled on first touch.
     fn open(path: PathBuf) -> GemResult<FileDisk> {
         let file = OpenOptions::new()
             .read(true)
@@ -154,18 +180,20 @@ impl FileDisk {
                 path.display()
             )));
         }
-        let mut exists = vec![false; len as usize / track_size - 1];
-        let mut buf = vec![0u8; track_size];
-        for (i, slot) in exists.iter_mut().enumerate() {
-            let off = ((i + 1) * track_size) as u64;
-            file.read_exact_at(&mut buf, off).map_err(|e| io_err("scan", &path, e))?;
-            *slot = buf.iter().any(|&b| b != 0);
-        }
-        Ok(FileDisk::at(path, file, track_size, exists))
+        let slots = vec![Slot::Unknown; len as usize / track_size - 1];
+        Ok(FileDisk::at(path, file, track_size, slots))
     }
 
-    fn at(path: PathBuf, file: File, track_size: usize, exists: Vec<bool>) -> FileDisk {
-        FileDisk { path, file, track_size, exists, read_buf: vec![0; track_size], ephemeral: false }
+    fn at(path: PathBuf, file: File, track_size: usize, slots: Vec<Slot>) -> FileDisk {
+        FileDisk {
+            path,
+            file,
+            track_size,
+            slots,
+            read_buf: vec![0; track_size],
+            probed: None,
+            ephemeral: false,
+        }
     }
 
     #[inline]
@@ -173,16 +201,25 @@ impl FileDisk {
         (id.0 as u64 + 1) * self.track_size as u64
     }
 
+    /// `pread` slot `id` into the read buffer.
+    fn load(&mut self, id: TrackId) -> GemResult<()> {
+        #[cfg(test)]
+        SLOT_READS.with(|n| n.set(n.get() + 1));
+        self.probed = None;
+        let off = self.offset(id);
+        self.file.read_exact_at(&mut self.read_buf, off).map_err(|e| io_err("read", &self.path, e))
+    }
+
     /// Extend preallocation so slot `idx` is addressable.
     fn ensure_capacity(&mut self, idx: usize) -> GemResult<()> {
-        if idx < self.exists.len() {
+        if idx < self.slots.len() {
             return Ok(());
         }
         let new_cap = (idx / PREALLOC_TRACKS + 1) * PREALLOC_TRACKS;
         self.file
             .set_len(((new_cap + 1) * self.track_size) as u64)
             .map_err(|e| io_err("preallocate", &self.path, e))?;
-        self.exists.resize(new_cap, false);
+        self.slots.resize(new_cap, Slot::Empty);
         Ok(())
     }
 }
@@ -195,19 +232,23 @@ impl Medium for FileDisk {
     }
 
     fn write(&mut self, id: TrackId, bytes: &[u8]) -> GemResult<()> {
-        self.ensure_capacity(id.0 as usize)?;
+        let idx = id.0 as usize;
+        self.ensure_capacity(idx)?;
+        self.probed = None;
         let off = self.offset(id);
-        self.file.write_all_at(bytes, off).map_err(|e| io_err("write", &self.path, e))?;
-        // Whole or torn, the landed bytes are in the file: the slot exists.
-        self.exists[id.0 as usize] = true;
-        Ok(())
+        let landed = self.file.write_all_at(bytes, off);
+        // Whole or torn, nonzero bytes in the slot make it exist. Zeros
+        // alone, or a failed pwrite that may have landed some bytes, leave
+        // the answer to the slot's bytes, as a fresh open would.
+        let nonzero = landed.is_ok() && bytes.iter().any(|&b| b != 0);
+        self.slots[idx] = if nonzero { Slot::Written } else { Slot::Unknown };
+        landed.map_err(|e| io_err("write", &self.path, e))
     }
 
     fn read(&mut self, id: TrackId) -> GemResult<&[u8]> {
-        let off = self.offset(id);
-        self.file
-            .read_exact_at(&mut self.read_buf, off)
-            .map_err(|e| io_err("read", &self.path, e))?;
+        if self.probed.take() != Some(id) {
+            self.load(id)?;
+        }
         Ok(&self.read_buf)
     }
 
@@ -218,14 +259,32 @@ impl Medium for FileDisk {
     }
 
     fn slot_count(&self) -> usize {
-        self.exists.len()
+        self.slots.len()
     }
 
-    fn exists(&self, id: TrackId) -> bool {
-        self.exists.get(id.0 as usize) == Some(&true)
+    /// An unknown slot is read once and settled; the read that follows
+    /// returns the same bytes. A slot that fails to read is reported as
+    /// existing, so that read surfaces the I/O error and recovery aborts
+    /// instead of taking the slot for never written.
+    fn exists(&mut self, id: TrackId) -> bool {
+        let idx = id.0 as usize;
+        match self.slots.get(idx) {
+            None | Some(Slot::Empty) => false,
+            Some(Slot::Written) => true,
+            Some(Slot::Unknown) => {
+                if self.load(id).is_err() {
+                    return true;
+                }
+                let written = self.read_buf.iter().any(|&b| b != 0);
+                self.slots[idx] = if written { Slot::Written } else { Slot::Empty };
+                self.probed = written.then_some(id);
+                written
+            }
+        }
     }
 
-    /// Copy the file to a fresh `.ck{N}` sibling and open it. The copy is
+    /// Copy the file to a fresh `.ck{N}` sibling and open it as any volume
+    /// is opened, so the copy learns existence from its bytes. The copy is
     /// ephemeral: it is deleted when the checkpoint drops.
     fn checkpoint(&self) -> GemResult<FileDisk> {
         let n = CLONE_SEQ.fetch_add(1, Ordering::Relaxed);
@@ -233,11 +292,9 @@ impl Medium for FileDisk {
         // pwrite goes through the page cache, so a same-process copy sees
         // every byte written so far without an intervening fsync.
         std::fs::copy(&self.path, &path).map_err(|e| io_err("checkpoint", &self.path, e))?;
-        let file = OpenOptions::new().read(true).write(true).open(&path).map_err(|e| {
+        let mut copy = FileDisk::open(path.clone()).inspect_err(|_| {
             let _ = std::fs::remove_file(&path);
-            io_err("open checkpoint", &path, e)
         })?;
-        let mut copy = FileDisk::at(path, file, self.track_size, self.exists.clone());
         copy.ephemeral = true;
         Ok(copy)
     }
@@ -276,7 +333,13 @@ impl FaultFile {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::commit::{checksum, write_checked};
     use crate::disk::{DiskArray, FaultPlan, TearClass, TrackDisk};
+    use crate::pobj::ObjectDelta;
+    use crate::store::{PermanentStore, StoreConfig};
+    use gemstone_object::{ClassId, SegmentId};
+    use gemstone_temporal::TxnTime;
+    use proptest::prelude::*;
     use std::sync::atomic::AtomicU32;
 
     static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
@@ -336,7 +399,7 @@ pub(crate) mod tests {
         assert_eq!(d.track_size(), 128, "track size from the header");
         assert!(d.track_exists(TrackId(0)));
         assert!(d.track_exists(TrackId(7)));
-        assert!(!d.track_exists(TrackId(3)), "gap slot scanned as unwritten");
+        assert!(!d.track_exists(TrackId(3)), "gap slot reads as unwritten");
         assert_eq!(d.tracks_in_use(), 2);
         assert_eq!(d.tracks_beyond(1), 1);
         assert_eq!(&d.read_track(TrackId(0)).unwrap()[..5], b"\x01root");
@@ -381,9 +444,22 @@ pub(crate) mod tests {
         plan.tear = TearClass::Clean;
         d.set_fault_plan(plan);
         assert!(d.write_track(TrackId(5), &[0x02; 10]).is_err());
+        // An empty record torn inside its length field lands two zero
+        // bytes: a file cannot tell that from never written, so neither
+        // the live handle nor a reopening counts the track.
+        d.set_fault_plan(FaultPlan {
+            crash_after_writes: Some(0),
+            tear: TearClass::HeaderLen,
+            ..FaultPlan::default()
+        });
+        let mut empty_record = 0u32.to_le_bytes().to_vec();
+        empty_record.extend_from_slice(&checksum(&[]).to_le_bytes());
+        assert!(d.write_track(TrackId(6), &empty_record).is_err());
+        assert!(!d.track_exists(TrackId(6)), "zeros alone make no track");
         drop(d);
-        let d = FaultFile::open(&path).unwrap();
+        let mut d = FaultFile::open(&path).unwrap();
         assert!(!d.track_exists(TrackId(5)), "clean tear never reached the file");
+        assert!(!d.track_exists(TrackId(6)));
         assert!(d.track_exists(TrackId(0)));
     }
 
@@ -420,13 +496,19 @@ pub(crate) mod tests {
         let mut d = scratch(64);
         d.write_track(TrackId(3), b"\x01x").unwrap();
         d.sync().unwrap();
-        // A second handle cuts the volume back to its header slot: track 3
-        // is still known to exist, but its pread now runs past the end.
+        let mut reopened = FaultFile::open(&d.medium.path).unwrap();
+        // A third handle cuts the volume back to its header slot. The live
+        // handle still knows track 3 exists; the reopened one cannot read
+        // the slot to find out, so it answers "exists" and leaves the
+        // error to the read — recovery must not take it for unwritten.
         OpenOptions::new().write(true).open(&d.medium.path).unwrap().set_len(64).unwrap();
-        assert!(matches!(d.read_track(TrackId(3)), Err(GemError::DiskFailure(_))));
-        let s = d.counters().snapshot();
-        assert_eq!((s.track_reads, s.failed_reads), (0, 1));
-        assert!(!d.is_dead(), "an I/O error is not a crash");
+        for d in [&mut d, &mut reopened] {
+            assert!(d.track_exists(TrackId(3)));
+            assert!(matches!(d.read_track(TrackId(3)), Err(GemError::DiskFailure(_))));
+            let s = d.counters().snapshot();
+            assert_eq!((s.track_reads, s.failed_reads), (0, 1));
+            assert!(!d.is_dead(), "an I/O error is not a crash");
+        }
     }
 
     #[test]
@@ -440,5 +522,136 @@ pub(crate) mod tests {
         assert_eq!(len(), 65 * 64, "inside the batch: no growth");
         d.write_track(TrackId(64), b"\x01next").unwrap();
         assert_eq!(len(), 129 * 64, "second batch allocated whole");
+    }
+
+    /// Reopening reads the root slots, the log and the slots past the
+    /// allocation frontier — never the tracks in between — so its cost is
+    /// the same for a 1k-track volume and a 20k-track one.
+    #[test]
+    fn open_reads_the_log_not_the_file() {
+        let s = Scratch::new("open-cost");
+        let cfg = StoreConfig { track_size: 128, cache_tracks: 64, replicas: 1 };
+        // Each object's 100 KB body spans about 860 tracks.
+        for (name, objects, min_slots) in [("small", 1, 800), ("large", 24, 20_000)] {
+            let path = s.file(name);
+            let store = PermanentStore::create_file(&path, cfg).unwrap();
+            for i in 0..objects {
+                let delta = ObjectDelta {
+                    goop: store.alloc_goop(),
+                    class: ClassId(1),
+                    segment: SegmentId(0),
+                    alias_next: 0,
+                    elem_writes: vec![],
+                    bytes_write: Some(vec![i as u8 | 1; 100_000]),
+                    is_new: true,
+                };
+                store.commit_batch(TxnTime::from_ticks(i + 1), &[delta]).unwrap();
+            }
+            drop(store);
+            let slots = std::fs::metadata(&path).unwrap().len() / 128 - 1;
+            assert!(slots >= min_slots, "{name}: {slots} slots");
+
+            SLOT_READS.with(|n| n.set(0));
+            let store = PermanentStore::open_file(&path, 1, 64).unwrap();
+            let reads = SLOT_READS.with(|n| n.get());
+            let past_frontier = slots - store.root().next_track as u64;
+            assert!(past_frontier < PREALLOC_TRACKS as u64, "{name}: no orphans");
+            assert_eq!(
+                reads,
+                store.recovery_report().reopen_reads + past_frontier,
+                "{name}: every counted read plus one probe per slot past the frontier"
+            );
+            assert!(reads < 100, "{name}: {reads} slot reads to open {slots} slots");
+        }
+    }
+
+    /// One operation on a live file volume.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// A framed record of `len` payload bytes (`fill` 0: all zeros).
+        Write {
+            track: u32,
+            len: usize,
+            fill: u8,
+        },
+        /// The same record, torn at `TearClass::ALL[tear]`.
+        Tear {
+            track: u32,
+            len: usize,
+            fill: u8,
+            tear: usize,
+        },
+        Sync,
+        /// Drop the handle and open the file again.
+        Reopen,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        // A quarter of the records are empty: torn inside their length
+        // field, they land only zeros.
+        let len = || prop_oneof![Just(0usize), 1usize..53, 1usize..53, 1usize..53];
+        prop_oneof![
+            (0u32..80, len(), 0u8..3).prop_map(|(track, len, fill)| Op::Write { track, len, fill }),
+            (0u32..80, len(), 0u8..3, 0usize..6).prop_map(|(track, len, fill, tear)| Op::Tear {
+                track,
+                len,
+                fill,
+                tear
+            }),
+            Just(Op::Sync),
+            Just(Op::Reopen),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Lazy existence gives the answers the open-time scan gave: after
+        /// framed writes, tears of every class, syncs and reopens, a fresh
+        /// open agrees with the live handle on every slot, every frontier
+        /// and the count of tracks in use — whatever it is asked first.
+        fn lazy_existence_matches_a_fresh_open(ops in prop::collection::vec(op(), 1..40)) {
+            let s = Scratch::new("lazy");
+            let path = s.file("db.gem");
+            let disk = |d: FaultFile| DiskArray::from_backend(Box::new(d));
+            let mut live = disk(FaultFile::create(&path, 64).unwrap());
+            let payload = |len: usize, fill: u8| -> Vec<u8> {
+                (0..len).map(|i| (i as u8).wrapping_mul(fill)).collect()
+            };
+            for op in &ops {
+                match *op {
+                    Op::Write { track, len, fill } => {
+                        write_checked(&mut live, TrackId(track), &payload(len, fill)).unwrap();
+                    }
+                    Op::Tear { track, len, fill, tear } => {
+                        live.replica_mut(0).set_fault_plan(FaultPlan {
+                            crash_after_writes: Some(0),
+                            tear: TearClass::ALL[tear],
+                            ..FaultPlan::default()
+                        });
+                        prop_assert!(write_checked(&mut live, TrackId(track), &payload(len, fill)).is_err());
+                        live.replica_mut(0).revive();
+                    }
+                    Op::Sync => live.sync().unwrap(),
+                    Op::Reopen => live = disk(FaultFile::open(&path).unwrap()),
+                }
+            }
+            let live = live.replica_mut(0);
+            let slots = (std::fs::metadata(&path).unwrap().len() / 64 - 1) as u32;
+            let mut by_slot = FaultFile::open(&path).unwrap();
+            for i in 0..slots + 2 {
+                let id = TrackId(i);
+                prop_assert_eq!(by_slot.track_exists(id), live.track_exists(id), "track {}", i);
+                if live.track_exists(id) {
+                    let bytes = by_slot.read_track(id).unwrap().to_vec();
+                    prop_assert_eq!(&bytes[..], live.read_track(id).unwrap(), "track {}", i);
+                }
+            }
+            let mut by_frontier = FaultFile::open(&path).unwrap();
+            for k in (0..slots + 2).rev() {
+                prop_assert_eq!(by_frontier.tracks_beyond(k), live.tracks_beyond(k), "frontier {}", k);
+            }
+            prop_assert_eq!(FaultFile::open(&path).unwrap().tracks_in_use(), live.tracks_in_use());
+        }
     }
 }

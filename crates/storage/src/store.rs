@@ -66,6 +66,7 @@ use gemstone_object::{GemError, GemResult, Goop};
 use gemstone_telemetry::{Counter, Histogram, Journal, JournalEvent, SpanKind, Tracer};
 use gemstone_temporal::TxnTime;
 use parking_lot::{Mutex, RwLock};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -554,19 +555,22 @@ impl PermanentStore {
         let mut touched: Vec<Goop> = Vec::with_capacity(deltas.len());
         let mut images: HashMap<Goop, PersistentObject> = HashMap::new();
         for d in deltas {
-            if let std::collections::hash_map::Entry::Vacant(slot) = images.entry(d.goop) {
-                let base = if d.is_new {
-                    match self.shard(d.goop).read().get(&d.goop) {
-                        Some(existing) => (**existing).clone(),
-                        None => PersistentObject::new(d.goop, d.class, d.segment),
-                    }
-                } else {
-                    (*self.get(d.goop)?).clone() // fault in before updating
-                };
-                slot.insert(base);
-                touched.push(d.goop);
-            }
-            images.get_mut(&d.goop).expect("just inserted").apply_delta(d, time);
+            let image = match images.entry(d.goop) {
+                Entry::Occupied(image) => image.into_mut(),
+                Entry::Vacant(slot) => {
+                    let base = if d.is_new {
+                        match self.shard(d.goop).read().get(&d.goop) {
+                            Some(existing) => (**existing).clone(),
+                            None => PersistentObject::new(d.goop, d.class, d.segment),
+                        }
+                    } else {
+                        (*self.get(d.goop)?).clone() // fault in before updating
+                    };
+                    touched.push(d.goop);
+                    slot.insert(base)
+                }
+            };
+            image.apply_delta(d, time);
         }
 
         self.write_images(&mut w, time, touched, images, session, parent)
@@ -757,9 +761,8 @@ impl PermanentStore {
         for g in goops {
             let mut obj = (*self.get(g)?).clone();
             let mut pruned = 0;
-            let names: Vec<_> = obj.elements.keys().copied().collect();
-            for n in names {
-                pruned += obj.elements.get_mut(&n).unwrap().prune_before(keep_from).len();
+            for history in obj.elements.values_mut() {
+                pruned += history.prune_before(keep_from).len();
             }
             if let Some(bh) = &mut obj.bytes {
                 pruned += bh.prune_before(keep_from).len();
