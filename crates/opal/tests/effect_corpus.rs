@@ -52,6 +52,8 @@ const CORPUS: &[&str] = &[
      1 to: 3 do: [:i | 1 to: 3 do: [:j | sum := sum + (i * j)]]. sum",
     "| r | r := OrderedCollection new.
      1 to: 5 do: [:i | | sq | sq := i * i. r add: sq]. r size",
+    "| acc | acc := 0.
+     1 to: 400 do: [:i | acc := acc + ([:x | x * 2] value: i)]. acc",
 ];
 
 /// Programs where a send cannot be resolved statically at doIt-analysis

@@ -2,9 +2,10 @@
 //! periodic [`MetricsSnapshot`] samples with windowed rate queries and
 //! threshold anomaly detectors.
 //!
-//! The observatory is **pull-based**: a driver (the REPL, `gemtop`, a
-//! bench loop) calls [`Observatory::tick`], which samples the registry
-//! if the configured interval has elapsed and appends to the ring.
+//! The observatory is **pull-based**: a driver (the database's
+//! `observatory_tick`, a test loop) calls [`Observatory::tick`], which
+//! samples the registry if the configured interval has elapsed and
+//! appends to the ring.
 //! There are no hooks on any hot path — counters are read, never
 //! written, so the engine pays structurally zero overhead whether the
 //! ring is on or off.  Disabled (the default), a tick is one relaxed
@@ -188,7 +189,7 @@ impl Anomaly {
         }
     }
 
-    /// Human line for logs and the gemtop status row.
+    /// Human line for logs and status displays.
     pub fn describe(&self) -> String {
         match self {
             Anomaly::AbortStorm { abort_pct, aborts } => {

@@ -28,13 +28,15 @@
 //! :journal <dir>           — start the flight recorder (segments in <dir>)
 //! :journal off             — stop it
 //! :doctor                  — render a diagnostic bundle from the journal
+//! :doctor <dir>            — the same from the journal segments in <dir>
 //! :conflicts               — this session's last conflict + database heat
 //! :stats                   — the statistics catalog + last plan decision
 //! :stats on                — train the catalog and turn the planner cost-based
 //! ```
 
-use gemstone::{GemStone, JournalConfig, MetricsSnapshot};
+use gemstone::{DiagnosticBundle, GemError, GemStone, Journal, JournalConfig, MetricsSnapshot};
 use std::io::{BufRead, Write};
+use std::path::Path;
 
 fn main() {
     let gs = GemStone::in_memory();
@@ -187,8 +189,20 @@ fn main() {
             }
             continue;
         }
-        if src == ":doctor" {
-            match gs.database().diagnostic_bundle("repl") {
+        if let Some(arg) = src.strip_prefix(":doctor") {
+            // Bare `:doctor` reads the live recorder; `:doctor <dir>` reads
+            // the segments another (perhaps crashed) process left in <dir>.
+            // Offline there is no live registry: the bundle's "replayed"
+            // section is the reconstruction.
+            let arg = arg.trim();
+            let bundle = if arg.is_empty() {
+                gs.database().diagnostic_bundle("repl")
+            } else {
+                Journal::read_from(Path::new(arg))
+                    .map(|readout| DiagnosticBundle::build(&readout, None, "doctor"))
+                    .map_err(GemError::RuntimeError)
+            };
+            match bundle {
                 Ok(bundle) => {
                     for l in bundle.render().lines() {
                         println!("  {l}");

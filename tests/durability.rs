@@ -3,10 +3,11 @@
 //! PR 8 satellite. The `durable_writer` helper binary appends commits to a
 //! file-backed database and prints `ack <i>` only after each commit's root
 //! page is fsynced. This harness SIGKILLs the writer at a random ack —
-//! while the next commit is typically mid-write — reopens the database in
-//! this process, and asserts that every acknowledged commit survived and
-//! that nothing partial is visible: the log is an exact `0..k` prefix with
-//! at most the one in-flight commit beyond the last ack.
+//! while the next commit is typically mid-write — drains every ack the
+//! writer printed before it died, reopens the database in this process,
+//! and asserts that every acknowledged commit survived and that nothing
+//! partial is visible: the log is an exact `0..k` prefix with at most the
+//! one in-flight commit beyond the last printed ack.
 //!
 //! The database lives under `target/durability/<test>-<pid>` so a failing
 //! CI job uploads the file for post-mortem; on success the guard removes it.
@@ -22,7 +23,9 @@ use std::path::Path;
 use std::process::{Command, Stdio};
 
 /// Run the writer asking for `commits` appends, SIGKILL it after reading
-/// `kill_at` acks. Returns the highest acked value.
+/// `kill_at` acks, then read its stdout to EOF. Returns the last ack the
+/// writer printed: acks it printed between the `kill_at`-th and the kill
+/// landing are promises too, so they are drained rather than left unread.
 fn run_and_kill(db: &Path, commits: usize, kill_at: usize) -> i64 {
     let mut child = Command::new(env!("CARGO_BIN_EXE_durable_writer"))
         .arg(db)
@@ -31,41 +34,37 @@ fn run_and_kill(db: &Path, commits: usize, kill_at: usize) -> i64 {
         .spawn()
         .expect("spawn durable_writer");
     let stdout = child.stdout.take().expect("piped stdout");
-    let mut last_acked = -1i64;
-    let mut seen = 0usize;
-    for line in BufReader::new(stdout).lines() {
+    let mut last_printed = -1i64;
+    for (seen, line) in BufReader::new(stdout).lines().enumerate() {
         let line = line.expect("writer stdout");
-        let v: i64 = line
+        last_printed = line
             .strip_prefix("ack ")
             .unwrap_or_else(|| panic!("unexpected writer output: {line:?}"))
             .parse()
             .expect("ack value");
-        last_acked = v;
-        seen += 1;
-        if seen >= kill_at {
+        if seen + 1 == kill_at {
             // `Child::kill` is SIGKILL on unix: no destructors, no flush —
             // the writer dies wherever it happens to be.
             child.kill().expect("SIGKILL writer");
-            break;
         }
     }
     child.wait().expect("reap writer");
-    last_acked
+    last_printed
 }
 
-/// Reopen the database and assert every ack survived with nothing partial.
-/// Returns the recovered log size.
-fn assert_acked_prefix(db: &Path, last_acked: i64) -> i64 {
+/// Reopen the database and assert every printed ack survived with nothing
+/// partial. Returns the recovered log size.
+fn assert_acked_prefix(db: &Path, last_printed: i64) -> i64 {
     let gs = GemStone::open_file(db, 64).expect("reopen after SIGKILL");
     let mut s = gs.login("system").expect("login");
     let k = s.run("Log size").expect("Log size").as_int().expect("integer");
     assert!(
-        k > last_acked,
-        "durability violation: last ack was {last_acked} but only {k} commits survived"
+        k > last_printed,
+        "durability violation: last ack was {last_printed} but only {k} commits survived"
     );
-    // Nothing phantom either: beyond the acks at most the single in-flight
-    // commit may have reached the disk before the kill landed.
-    assert!(k <= last_acked + 2, "log size {k} vs last ack {last_acked}: impossible surplus");
+    // Nothing phantom either: beyond the last printed ack at most the single
+    // in-flight commit may have reached the disk before the kill landed.
+    assert!(k <= last_printed + 2, "log size {k} vs last ack {last_printed}: impossible surplus");
     for j in 1..=k {
         let v = s.run(&format!("Log at: {j}")).expect("Log at:").as_int().expect("integer");
         assert_eq!(v, j - 1, "slot {j} holds a torn or reordered value");
