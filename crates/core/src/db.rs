@@ -38,8 +38,8 @@ use gemstone_object::{
 use gemstone_opal::{install_kernel_methods, CompiledMethod, EffectCache};
 use gemstone_storage::{DiskArray, PermanentStore, StoreConfig};
 use gemstone_telemetry::{
-    Anomaly, DiagnosticBundle, Journal, JournalConfig, JournalEvent, MetricsBatch, MetricsSnapshot,
-    ObservatoryConfig, Telemetry,
+    DiagnosticBundle, Journal, JournalConfig, JournalEvent, MetricsBatch, MetricsSnapshot,
+    Telemetry,
 };
 use gemstone_temporal::TxnTime;
 use gemstone_txn::TransactionManager;
@@ -701,34 +701,6 @@ impl Database {
         let path = dir.join(format!("bundle-{}-{:04}.json", reason, j.next_bundle_seq()));
         std::fs::write(&path, bundle.to_json()).ok()?;
         Some(path)
-    }
-
-    /// Turn on the live observatory ring: periodic registry samples with
-    /// windowed rate queries and threshold anomaly detectors. Pull-based
-    /// — sampling happens only inside [`Database::observatory_tick`], so
-    /// the engine's hot paths are untouched whether this is on or off.
-    pub fn enable_observatory(&self, cfg: ObservatoryConfig) {
-        self.telemetry.observatory.enable(cfg);
-    }
-
-    /// Turn the observatory off and drop its samples.
-    pub fn disable_observatory(&self) {
-        self.telemetry.observatory.disable();
-    }
-
-    /// Sample the observatory (a no-op inside the configured interval or
-    /// when disabled). Each anomaly that *newly* fires auto-captures a
-    /// diagnostic bundle named after it when the flight recorder is
-    /// running; the bundle paths ride back with the anomalies.
-    pub fn observatory_tick(&self) -> Vec<(Anomaly, Option<std::path::PathBuf>)> {
-        self.telemetry
-            .observe()
-            .into_iter()
-            .map(|a| {
-                let path = self.capture_bundle(a.slug());
-                (a, path)
-            })
-            .collect()
     }
 
     /// Aggregated conflict forensics: per-kind abort totals plus the

@@ -29,7 +29,7 @@ mod session;
 
 pub use auth::{Access, AuthTable, DBA};
 pub use db::Database;
-pub use session::{PlanChoiceRecord, Session, SlowStatement};
+pub use session::{PlanChoiceRecord, Session};
 
 // Re-exports for downstream users of the public API.
 pub use gemstone_calculus::{
@@ -44,11 +44,10 @@ pub use gemstone_storage::{
     RecoveryReport, StoreConfig, StoreStats, TearClass, TrackDisk, TrackId,
 };
 pub use gemstone_telemetry::{
-    replay, Anomaly, AnomalyThresholds, CacheSweepPoint, ConflictProfile, Counter,
-    DiagnosticBundle, DriftEpisode, Gauge, Histogram, HistogramSnapshot, Journal, JournalConfig,
-    JournalEvent, JournalReadout, ManualTime, MetricsRegistry, MetricsSnapshot, Observatory,
-    ObservatoryConfig, ObservatorySample, PlannerProfile, RecoverySummary, SlowEntry, SpanEvent,
-    SpanKind, Telemetry, TelemetryClock, Tracer, TrackHeat, WindowStats, JOURNAL_SCHEMA,
+    replay, CacheSweepPoint, ConflictProfile, Counter, DiagnosticBundle, DriftEpisode, Gauge,
+    Histogram, HistogramSnapshot, Journal, JournalConfig, JournalEvent, JournalReadout, ManualTime,
+    MetricsRegistry, MetricsSnapshot, PlannerProfile, RecoverySummary, SlowEntry, SpanEvent,
+    SpanKind, Telemetry, TelemetryClock, Tracer, TrackHeat, JOURNAL_SCHEMA,
 };
 pub use gemstone_temporal::TxnTime;
 pub use gemstone_txn::{ConflictReport, ConflictStats};

@@ -105,11 +105,6 @@ pub struct Session {
     profile_next: bool,
     /// Per-operator profile of the most recent profiled query.
     last_profile: Option<OpProfile>,
-    /// True when the current statement evaluated a select block / query.
-    plan_this_stmt: bool,
-    /// Statements at least this slow land in the slow log. `None` = off.
-    slow_threshold_ns: Option<u64>,
-    slow_log: Vec<SlowStatement>,
     /// Consecutive overlap conflicts; a storm (≥ 8) auto-captures a
     /// diagnostic bundle when the flight recorder is running. Watermark
     /// refusals (stale snapshot, not contention) neither feed nor reset it.
@@ -166,20 +161,6 @@ const CONFLICT_STORM_THRESHOLD: u32 = 8;
 const DRIFT_RATIO: u64 = 4;
 /// Noise floor for drift: both sides tiny means the miss is meaningless.
 const DRIFT_FLOOR: u64 = 16;
-
-/// One slow-log entry: a statement that exceeded the session's threshold.
-#[derive(Clone, Debug)]
-pub struct SlowStatement {
-    /// The OPAL source text as submitted.
-    pub source: String,
-    /// The plan of the query the statement evaluated, or a placeholder
-    /// when it ran no select block.
-    pub plan_summary: String,
-    pub wall_ns: u64,
-}
-
-/// Slow-log entries kept per session before new ones are dropped.
-const SLOW_LOG_CAP: usize = 128;
 
 /// The registry handles a session increments on its hot paths, resolved
 /// once at login (get-or-create) so steady-state updates are lock-free
@@ -329,9 +310,6 @@ impl Session {
             m,
             profile_next: false,
             last_profile: None,
-            plan_this_stmt: false,
-            slow_threshold_ns: None,
-            slow_log: Vec::new(),
             consecutive_conflicts: 0,
             txn_began_ns: 0,
             txn_static_ro: true,
@@ -903,7 +881,6 @@ impl Session {
             self.telemetry.tracer.begin(SpanKind::Statement, self.session_id, parent, &label);
         self.stmt_span = span.id();
         self.stmt_active = true;
-        self.plan_this_stmt = false;
         let result = self.run_compiled(source);
         self.stmt_span = 0;
         self.stmt_active = false;
@@ -917,23 +894,6 @@ impl Session {
                 wall_ns: wall,
                 label: label.clone(),
             });
-        }
-        if let Some(threshold) = self.slow_threshold_ns {
-            if wall >= threshold && self.slow_log.len() < SLOW_LOG_CAP {
-                let plan_summary = if self.plan_this_stmt {
-                    self.last_plan
-                        .as_ref()
-                        .map(|(p, _)| p.describe())
-                        .unwrap_or_else(|| "(no plan)".into())
-                } else {
-                    "(no select block)".into()
-                };
-                self.slow_log.push(SlowStatement {
-                    source: source.to_string(),
-                    plan_summary,
-                    wall_ns: wall,
-                });
-            }
         }
         if let Err(e) = &result {
             self.capture_failure(e);
@@ -1137,7 +1097,6 @@ impl Session {
         query: &Query,
         catalog: &IndexCatalog,
     ) -> GemResult<Vec<Vec<Oop>>> {
-        self.plan_this_stmt = true;
         let stats_on = self.db.stats_enabled();
         let (var_sets, view, replan) =
             if stats_on { self.resolve_stats_view(query)? } else { (Vec::new(), None, false) };
@@ -1458,21 +1417,6 @@ impl Session {
     /// The shared telemetry bundle (registry + tracer + clock).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// Statements at least this slow are recorded in the slow log
-    /// (`None` disables — the default).
-    pub fn set_slow_threshold(&mut self, ns: Option<u64>) {
-        self.slow_threshold_ns = ns;
-    }
-
-    /// Recorded slow statements, oldest first (capped at 128).
-    pub fn slow_log(&self) -> &[SlowStatement] {
-        &self.slow_log
-    }
-
-    pub fn clear_slow_log(&mut self) {
-        self.slow_log.clear();
     }
 
     /// Render the most recent query's plan and operator counters, or `None`

@@ -16,7 +16,7 @@
 //! share one implementation.
 
 use crate::journal::{replay, JournalEvent, JournalReadout, JOURNAL_SCHEMA};
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::{json_escape, MetricsSnapshot};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -580,7 +580,7 @@ impl DiagnosticBundle {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        let _ = writeln!(out, "  \"reason\": \"{}\",", esc(&self.reason));
+        let _ = writeln!(out, "  \"reason\": \"{}\",", json_escape(&self.reason));
         let _ = writeln!(out, "  \"schema\": {},", self.schema);
         let _ = writeln!(out, "  \"complete\": {},", self.complete);
         let _ = writeln!(out, "  \"events\": {},", self.events);
@@ -631,7 +631,7 @@ impl DiagnosticBundle {
                 "    {{\"session\":{},\"wall_ns\":{},\"label\":\"{}\"}}",
                 s.session,
                 s.wall_ns,
-                esc(&s.label)
+                json_escape(&s.label)
             );
             out.push_str(if i + 1 < self.slow_statements.len() { ",\n" } else { "\n" });
         }
@@ -677,7 +677,10 @@ impl DiagnosticBundle {
                 .worst_statements
                 .iter()
                 .map(|(l, e, n)| {
-                    format!("{{\"label\":\"{}\",\"worst_err_pct\":{e},\"episodes\":{n}}}", esc(l))
+                    format!(
+                        "{{\"label\":\"{}\",\"worst_err_pct\":{e},\"episodes\":{n}}}",
+                        json_escape(l)
+                    )
                 })
                 .collect();
             let sets: Vec<String> = p
@@ -693,8 +696,8 @@ impl DiagnosticBundle {
                         "{{\"session\":{},\"label\":\"{}\",\"plan\":\"{}\",\"op\":{},\
                          \"est\":{},\"actual\":{},\"err_pct\":{}}}",
                         d.session,
-                        esc(&d.label),
-                        esc(&d.plan),
+                        json_escape(&d.label),
+                        json_escape(&d.plan),
                         d.op,
                         d.est,
                         d.actual,
@@ -756,22 +759,6 @@ impl DiagnosticBundle {
         out.push_str("}\n");
         out
     }
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Sort a heat table hottest-first (count desc, then key asc for

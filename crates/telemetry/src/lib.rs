@@ -24,7 +24,6 @@ mod bundle;
 mod clock;
 mod journal;
 mod metrics;
-mod ring;
 mod trace;
 
 pub use bundle::{
@@ -39,10 +38,6 @@ pub use journal::{
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsBatch, MetricsRegistry, MetricsSnapshot,
 };
-pub use ring::{
-    detect, Anomaly, AnomalyThresholds, Observatory, ObservatoryConfig, ObservatorySample,
-    WindowStats,
-};
 pub use trace::{OpenSpan, SpanEvent, SpanKind, Tracer};
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,9 +51,6 @@ pub struct Telemetry {
     pub tracer: Tracer,
     /// The persistent flight recorder (disabled until started).
     pub journal: Journal,
-    /// The live time-series ring (disabled until enabled). Pull-based:
-    /// sampling happens only when a driver ticks it, never on hot paths.
-    pub observatory: Observatory,
     clock: TelemetryClock,
     next_session: Arc<AtomicU64>,
 }
@@ -79,20 +71,9 @@ impl Telemetry {
             registry,
             tracer,
             journal: Journal::disabled(),
-            observatory: Observatory::disabled(),
             clock,
             next_session: Arc::new(AtomicU64::new(1)),
         }
-    }
-
-    /// Tick the observatory against this telemetry's registry and clock.
-    /// Returns anomalies that newly fired on this sample.  One relaxed
-    /// atomic load when the observatory is disabled.
-    pub fn observe(&self) -> Vec<Anomaly> {
-        if !self.observatory.enabled() {
-            return Vec::new();
-        }
-        self.observatory.tick(&self.registry, self.clock.now_ns() / 1_000)
     }
 
     /// Deterministic telemetry for tests: a hand-cranked clock plus its

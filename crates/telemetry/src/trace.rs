@@ -89,6 +89,7 @@ impl OpenSpan {
     }
 }
 
+/// Completed spans the ring holds; older ones are dropped first.
 const DEFAULT_CAPACITY: usize = 4096;
 
 #[derive(Debug)]
@@ -101,13 +102,7 @@ struct TracerShared {
     recorded: Counter,
     dropped: Counter,
     clock: TelemetryClock,
-    ring: Mutex<Ring>,
-}
-
-#[derive(Debug)]
-struct Ring {
-    events: VecDeque<SpanEvent>,
-    capacity: usize,
+    ring: Mutex<VecDeque<SpanEvent>>,
 }
 
 /// The span recorder; clones share one ring buffer.  Disabled (the
@@ -125,7 +120,7 @@ impl Tracer {
             recorded: Counter::new(),
             dropped: Counter::new(),
             clock,
-            ring: Mutex::new(Ring { events: VecDeque::new(), capacity: DEFAULT_CAPACITY }),
+            ring: Mutex::new(VecDeque::new()),
         }))
     }
 
@@ -140,15 +135,6 @@ impl Tracer {
     /// Record 1 in `n` statement spans; `n` is clamped to ≥ 1.
     pub fn set_sampling(&self, n: u64) {
         self.0.sample_every.store(n.max(1), Ordering::Relaxed);
-    }
-
-    pub fn set_capacity(&self, capacity: usize) {
-        let mut ring = self.0.ring.lock().unwrap();
-        ring.capacity = capacity.max(1);
-        while ring.events.len() > ring.capacity {
-            ring.events.pop_front();
-            self.0.dropped.inc();
-        }
     }
 
     /// Open a span.  Returns a disabled handle when tracing is off, when a
@@ -233,11 +219,11 @@ impl Tracer {
 
     fn push(&self, ev: SpanEvent) {
         let mut ring = self.0.ring.lock().unwrap();
-        if ring.events.len() >= ring.capacity {
-            ring.events.pop_front();
+        if ring.len() >= DEFAULT_CAPACITY {
+            ring.pop_front();
             self.0.dropped.inc();
         }
-        ring.events.push_back(ev);
+        ring.push_back(ev);
         self.0.recorded.inc();
     }
 
@@ -245,15 +231,11 @@ impl Tracer {
     /// session.
     pub fn events(&self, session: Option<u64>) -> Vec<SpanEvent> {
         let ring = self.0.ring.lock().unwrap();
-        ring.events
-            .iter()
-            .filter(|e| session.map(|s| e.session == s).unwrap_or(true))
-            .cloned()
-            .collect()
+        ring.iter().filter(|e| session.map(|s| e.session == s).unwrap_or(true)).cloned().collect()
     }
 
     pub fn clear(&self) {
-        self.0.ring.lock().unwrap().events.clear();
+        self.0.ring.lock().unwrap().clear();
     }
 
     /// Total spans ever recorded (survives ring eviction and `clear`) —
@@ -344,15 +326,14 @@ mod tests {
     fn ring_drops_oldest() {
         let (t, _) = manual_tracer();
         t.set_enabled(true);
-        t.set_capacity(2);
-        for i in 0..3 {
+        for i in 0..=DEFAULT_CAPACITY {
             let s = t.begin(SpanKind::Statement, 1, 0, &format!("s{i}"));
             t.end(s);
         }
         let evs = t.events(None);
-        assert_eq!(evs.len(), 2);
+        assert_eq!(evs.len(), DEFAULT_CAPACITY);
         assert_eq!(evs[0].label, "s1");
-        assert_eq!(t.events_recorded(), 3);
+        assert_eq!(t.events_recorded(), DEFAULT_CAPACITY as u64 + 1);
         assert_eq!(t.events_dropped(), 1);
     }
 

@@ -11,12 +11,13 @@
 //! them as artifacts.
 
 use gemstone::{
-    replay, DiagnosticBundle, GemStone, Journal, JournalConfig, Session, StoreConfig, Telemetry,
-    TrackId,
+    replay, DiagnosticBundle, GemStone, Journal, JournalConfig, JournalEvent, Session, StoreConfig,
+    Telemetry, TrackId, JOURNAL_SCHEMA,
 };
 use gemstone_calculus::{CmpOp, Pred, Query, Range, Term, VarId};
 use gemstone_object::ElemName;
 use gemstone_opal::OpalWorld;
+use proptest::prelude::*;
 use std::path::Path;
 
 mod common;
@@ -294,4 +295,69 @@ fn midlife_start_baselines_absolute_state() {
     let replayed = replay(&readout.events).snapshot();
     assert_eq!(replayed.to_json_lines(), live.to_json_lines());
     gs.database().stop_journal();
+}
+
+/// Fragments of the journal's own syntax, so random lines come close to
+/// real events (and cross the reader's edge cases) far more often than
+/// random bytes would.
+const FRAGMENTS: &[&str] = &[
+    "{",
+    "}",
+    "[",
+    "]",
+    ":",
+    ",",
+    "\"",
+    " ",
+    "\\",
+    "\\u",
+    "\\u00e9",
+    "\\ud800",
+    "\\x",
+    "\"e\"",
+    "\"plan\"",
+    "\"base_hist\"",
+    "\"txn_conflict\"",
+    "\"buckets\"",
+    "\"0:1,63:2\"",
+    "\"64:1\"",
+    "\"goops\"",
+    "true",
+    "fals",
+    "-",
+    "0",
+    "7",
+    "18446744073709551616",
+    "-9223372036854775809",
+    "999999999999999999999999999999999999999999",
+    "é",
+    "\n",
+    "\t",
+];
+
+/// A line of up to 40 random fragments.
+fn noise_line() -> impl Strategy<Value = String> {
+    prop::collection::vec(0..FRAGMENTS.len(), 0..40)
+        .prop_map(|picks| picks.into_iter().map(|i| FRAGMENTS[i]).collect())
+}
+
+proptest! {
+    /// The journal reader is total: any line is an event or an error.
+    #[test]
+    fn parse_never_panics(line in noise_line()) {
+        let _ = JournalEvent::parse(&line);
+    }
+
+    /// A segment with a valid header and arbitrary body lines reads back
+    /// as events or an error, never a panic.
+    #[test]
+    fn read_from_never_panics(body in prop::collection::vec(noise_line(), 0..6)) {
+        // Per thread: the test harness may run this property twice at once.
+        let dir = diag_dir(&format!("read-noise-{:?}", std::thread::current().id()));
+        std::fs::create_dir_all(dir.path()).unwrap();
+        let mut text = format!("{{\"e\":\"header\",\"v\":{JOURNAL_SCHEMA},\"seq\":1}}\n");
+        text.push_str(&body.join("\n"));
+        std::fs::write(dir.path().join("journal-00000001.jsonl"), text).unwrap();
+        let _ = Journal::read_from(dir.path());
+    }
 }

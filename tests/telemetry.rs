@@ -298,24 +298,6 @@ fn telemetry_overhead_gate() {
         off,
         "journal disabled (the default above) adds no interpreter dispatches"
     );
-
-    // The observatory leg of the gate: the ring is pull-based — sampling
-    // only happens inside an explicit `observatory_tick`, so enabling it
-    // leaves every engine hot path untouched (structurally zero extra
-    // dispatches, not merely within budget).
-    let gs_r = GemStone::in_memory();
-    gs_r.database().enable_observatory(gemstone::ObservatoryConfig::default());
-    let mut s_r = gs_r.login("system").unwrap();
-    let before_r = s_r.metrics();
-    workload(&mut s_r);
-    let d_r = s_r.metrics().diff(&before_r);
-    assert_eq!(
-        off,
-        d_r.counter("opal.interp.dispatches"),
-        "the observatory ring adds no interpreter dispatches"
-    );
-    gs_r.database().observatory_tick();
-    assert!(gs_r.telemetry().observatory.len() <= 1, "samples exist only where a driver ticks");
 }
 
 /// Interpreter and verifier counters flow through the registry.
@@ -334,39 +316,6 @@ fn interpreter_and_verifier_counters() {
     assert!(d.counter("opal.interp.sends") > 0);
     assert!(d.counter("opal.verify.checks") >= 3, "each doit is verified before install");
     assert_eq!(d.counter("opal.verify.rejects"), 0);
-}
-
-/// Satellite: the slow-statement log is off by default, captures source,
-/// plan summary and duration when armed, and disarms cleanly.
-#[test]
-fn slow_statement_log() {
-    let gs = GemStone::in_memory();
-    let mut s = gs.login("system").unwrap();
-
-    s.run("X := 1").unwrap();
-    assert!(s.slow_log().is_empty(), "slow log defaults to off");
-
-    s.set_slow_threshold(Some(0));
-    s.run("Y := 2").unwrap();
-    s.run("(Y + 1) * 2").unwrap();
-    assert_eq!(s.slow_log().len(), 2);
-    let entry = &s.slow_log()[0];
-    assert_eq!(entry.source, "Y := 2");
-    assert!(entry.wall_ns > 0);
-    assert_eq!(entry.plan_summary, "(no select block)");
-
-    s.run("Zs := Set new. Zs add: 3. Zs add: 9").unwrap();
-    s.run("(Zs select: [:e | e > 5]) size").unwrap();
-    let with_plan = s.slow_log().last().expect("entry");
-    assert_ne!(with_plan.plan_summary, "(no select block)", "select blocks log their plan");
-    assert!(!with_plan.plan_summary.is_empty());
-
-    let len = s.slow_log().len();
-    s.set_slow_threshold(None);
-    s.run("X := 4").unwrap();
-    assert_eq!(s.slow_log().len(), len, "disarmed log stops growing");
-    s.clear_slow_log();
-    assert!(s.slow_log().is_empty());
 }
 
 /// Satellite: after reopen, recovery gauges mirror the `RecoveryReport`
